@@ -9,8 +9,11 @@
 /// MORPHEUS can prune 72% of the partial programs without having to fill
 /// all holes in the sketch". Runs Spec 2 + partial evaluation over the 80
 /// benchmarks and reports the fraction of partially filled sketches
-/// rejected by deduction before completion, plus the SMT share of the
-/// runtime (paper: ~15%).
+/// rejected by deduction before completion, plus the share of runtime
+/// spent in deduction. That share is DeduceStats::SolverSeconds, which
+/// times all of deduce() — partial evaluation, α, key building and cache
+/// lookups as well as the Z3 check() — so it bounds the paper's ~15% "time
+/// in SMT" from above rather than measuring it.
 ///
 /// Usage: bench_prune_rate [timeout_ms]
 ///

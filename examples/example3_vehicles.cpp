@@ -59,9 +59,11 @@ int main() {
 
   SynthesisConfig Cfg;
   Cfg.Timeout = std::chrono::seconds(300); // the paper's 5-minute limit
-  Cfg.FairSizeScheduling = true; // per-size fairness for the deep search
-  Cfg.MaxSecondsPerSketch = 30;  // five-component sketches are large
-  Engine E = Engine::standard(EngineOptions().config(Cfg));
+  Cfg.MaxSecondsPerSketch = 30; // five-component sketches are large
+  // The paper's per-size search threads (Section 8): one portfolio member
+  // per program size, so the deep class is not starved by the small ones.
+  Engine E = Engine::standard(
+      EngineOptions().config(Cfg).strategy(Strategy::Portfolio));
 
   // arrange makes row order observable -> ordered comparison.
   Problem P = Problem::fromTables({Positions, Speeds}, Out,

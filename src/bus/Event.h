@@ -5,24 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The event taxonomy of the synthesis event bus (bus/EventBus.h): one
-/// small value type covering everything the engine, the deduction
-/// substrate and the serving layer can report off the hot path. Events are
-/// cheap to construct and copy — five scalars plus three usually-null
-/// shared_ptr payload slots — so hot paths publish them by value and the
-/// drain thread fans them out to subscribers in batches.
+/// The event taxonomy of the synthesis event bus (bus/EventBus.h): the
+/// per-sketch view of a search and the service job lifecycle — the only
+/// events something outside the tests subscribes to. Counters the search,
+/// the deduction engine and the service already keep in-band
+/// (SynthesisStats, DeduceStats, ServiceStats, ...) are not re-published
+/// here. Events are cheap to construct and copy — five scalars plus two
+/// usually-null shared_ptr payload slots — so hot paths publish them by
+/// value and the drain thread fans them out to subscribers in batches.
 ///
 /// Frequency classes (what keeps the bus off the hot path):
-///  - per-occurrence events are only published at sites that fire at most
-///    a few thousand times per solve (sketches, Z3 checks, store hits,
-///    job/cache traffic);
+///  - per-occurrence events fire at most a few thousand times per solve
+///    (sketches, job lifecycle);
 ///  - the truly hot sites — hole fills and candidate checks, which run
 ///    millions of times — are BATCHED: one HoleFillBatch event per sketch
-///    completion carries the tried/pruned/checked deltas;
-///  - per-run aggregates (EngineFinished, SolveFinished) carry a full
-///    SynthesisStats snapshot, so a subscriber can derive exactly the
-///    numbers the in-band Solution reports (tests/StatsParityTest.cpp
-///    holds the two accountings to golden parity).
+///    completion carries the tried/pruned/checked deltas.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,65 +33,28 @@
 
 namespace morpheus {
 
-struct SynthesisStats; // synth/Synthesizer.h
-struct Problem;        // api/Engine.h
+struct Problem; // api/Engine.h
 
 /// What happened. Every kind documents its payload-field meaning; fields
 /// not mentioned are zero/null.
 enum class EventKind : uint8_t {
-  // --- search engine (one per occurrence) ---
-  SketchGenerated,    ///< A = sketch size (number of components)
-  SketchRefuted,      ///< A = sketch size; deduction proved it dead
-  SolutionFound,      ///< A = program size; the winning candidate matched
+  // --- search engine (one per occurrence; the per-sketch tracer) ---
+  SketchGenerated, ///< A = sketch size (number of components)
+  SketchRefuted,   ///< A = sketch size; deduction proved it dead
   // --- search engine (batched: millions of fills collapse to one) ---
-  HoleFillBatch,      ///< per completed sketch: A = partial fills tried,
-                      ///< B = fills pruned by deduction, C = complete
-                      ///< candidates checked against the example
-  // --- deduction substrate ---
-  SolverCheck,        ///< one real Z3 check(); A = 1 viable / 0 refuted
-  RefutationStoreHit, ///< the shared store short-circuited a solver call
-  // --- per-run aggregates ---
-  EngineFinished,     ///< one engine run ended; Stats = its full counters,
-                      ///< A = 1 when it found a program
-  SolveFinished,      ///< one Engine::solve returned; Stats = the final
-                      ///< (portfolio-aggregated) counters, A = Outcome,
-                      ///< B = seconds as double bits, Text = program sexp
-                      ///< when solved
-  // --- result cache ---
-  CacheHit,           ///< A = job id, B = problem fingerprint
-  CacheEvict,         ///< B = evicted problem fingerprint
-  CacheCoalesce,      ///< A = job id joined an in-flight solve, B = fp
-  // --- service job lifecycle ---
-  JobSubmitted,       ///< A = job id, B = problem fp, C = priority
-                      ///< (int64), D = deadline ms (0 none), Prob =
-                      ///< problem snapshot
-  JobCompleted,       ///< A = job id, B = problem fp, C = Outcome,
-                      ///< D = ResultSource, Text = program sexp if solved
-  JobTimeout,         ///< A = job id, B = fp, C = 1 queue-expiry / 0
-                      ///< rider shed mid-solve (JobCompleted also fires)
-  JobStarted,         ///< A = job id, B = fp; a worker picked the job up
-                      ///< (queue wait ended). Cache hits never fire this.
-  // --- durable warm state (service/WarmState.h) ---
-  WarmStateLoaded,    ///< a state dir was restored at service start;
-                      ///< A = cache entries loaded, B = refutation keys
-                      ///< loaded, C = torn-tail records dropped, D = 1
-                      ///< when any file was rejected (version/compat)
-  CheckpointSaved,    ///< a background checkpoint published; A = cache
-                      ///< entries written, B = refutation keys written,
-                      ///< C = bytes written, D = 1 final (shutdown) / 0
-                      ///< periodic
-  // --- cluster tier (cluster/Cluster.h) ---
-  JobForwarded,       ///< the coordinator shipped a job to a shard;
-                      ///< A = request id, B = problem fp, C = worker
-                      ///< index, D = attempt number (1-based)
-  WorkerUp,           ///< a worker link completed its handshake;
-                      ///< A = worker index
-  WorkerDown,         ///< a worker link dropped (connect failure, frame
-                      ///< corruption, refused handshake or EOF);
-                      ///< A = worker index, B = in-flight jobs reassigned
+  HoleFillBatch,   ///< per completed sketch: A = partial fills tried,
+                   ///< B = fills pruned by deduction, C = complete
+                   ///< candidates checked against the example
+  // --- service job lifecycle (TrafficRecorder, cluster pumps) ---
+  JobSubmitted,    ///< A = job id, B = problem fp, C = priority (int64),
+                   ///< D = deadline ms (0 none), Prob = problem snapshot
+  JobStarted,      ///< A = job id, B = fp; a worker picked the job up
+                   ///< (queue wait ended). Cache hits never fire this.
+  JobCompleted,    ///< A = job id, B = problem fp, C = Outcome,
+                   ///< D = ResultSource, Text = program sexp if solved
 };
 
-constexpr unsigned NumEventKinds = unsigned(EventKind::WorkerDown) + 1;
+constexpr unsigned NumEventKinds = unsigned(EventKind::JobCompleted) + 1;
 
 /// Bit of \p K inside a subscription's kind mask.
 constexpr uint64_t eventKindBit(EventKind K) {
@@ -117,9 +77,8 @@ struct Event {
   uint64_t A = 0, B = 0, C = 0, D = 0; ///< kind-specific (see EventKind)
   /// Heavy payloads ride shared_ptrs so publishing stays allocation-free
   /// for the common scalar-only kinds.
-  std::shared_ptr<const SynthesisStats> Stats; ///< Engine/SolveFinished
-  std::shared_ptr<const Problem> Prob;         ///< JobSubmitted
-  std::shared_ptr<const std::string> Text;     ///< program s-expression
+  std::shared_ptr<const Problem> Prob;     ///< JobSubmitted
+  std::shared_ptr<const std::string> Text; ///< program s-expression
 
   Event() = default;
   Event(EventKind K, uint64_t Fp, uint64_t A = 0, uint64_t B = 0,

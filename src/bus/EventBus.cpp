@@ -17,42 +17,14 @@ std::string_view morpheus::eventKindName(EventKind K) {
     return "sketch-generated";
   case EventKind::SketchRefuted:
     return "sketch-refuted";
-  case EventKind::SolutionFound:
-    return "solution-found";
   case EventKind::HoleFillBatch:
     return "hole-fill-batch";
-  case EventKind::SolverCheck:
-    return "solver-check";
-  case EventKind::RefutationStoreHit:
-    return "refutation-store-hit";
-  case EventKind::EngineFinished:
-    return "engine-finished";
-  case EventKind::SolveFinished:
-    return "solve-finished";
-  case EventKind::CacheHit:
-    return "cache-hit";
-  case EventKind::CacheEvict:
-    return "cache-evict";
-  case EventKind::CacheCoalesce:
-    return "cache-coalesce";
   case EventKind::JobSubmitted:
     return "job-submitted";
-  case EventKind::JobCompleted:
-    return "job-completed";
-  case EventKind::JobTimeout:
-    return "job-timeout";
   case EventKind::JobStarted:
     return "job-started";
-  case EventKind::WarmStateLoaded:
-    return "warm-state-loaded";
-  case EventKind::CheckpointSaved:
-    return "checkpoint-saved";
-  case EventKind::JobForwarded:
-    return "job-forwarded";
-  case EventKind::WorkerUp:
-    return "worker-up";
-  case EventKind::WorkerDown:
-    return "worker-down";
+  case EventKind::JobCompleted:
+    return "job-completed";
   }
   return "?";
 }
@@ -198,11 +170,8 @@ void EventBus::drainLoop() {
     for (const Subscriber &Sub : Subs) {
       Filtered.clear();
       for (const Event &E : Batch) {
-        if (!(Sub.S.KindMask & eventKindBit(E.Kind)))
-          continue;
-        if (Sub.S.Filter && !Sub.S.Filter(E))
-          continue;
-        Filtered.push_back(E);
+        if (Sub.S.KindMask & eventKindBit(E.Kind))
+          Filtered.push_back(E);
       }
       if (!Filtered.empty() && Sub.S.OnBatch) {
         Sub.S.OnBatch(Filtered);

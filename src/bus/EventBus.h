@@ -13,7 +13,6 @@
 ///   Bus->subscribe({"recorder",
 ///                   eventKindBit(EventKind::JobSubmitted) |
 ///                       eventKindBit(EventKind::JobCompleted),
-///                   /*Filter=*/nullptr,
 ///                   [](const std::vector<Event> &Batch) { ... }});
 ///   Engine E = Engine::standard(EngineOptions().eventBus(Bus));
 ///
@@ -25,14 +24,13 @@
 ///    test (a single relaxed load);
 ///  - one dedicated drain thread pops events in batches (up to
 ///    Options::MaxBatch) and delivers each batch to every subscriber
-///    whose kind mask — and optional per-event predicate, typically an
-///    example-fingerprint match — accepts it. Subscriber callbacks run on
+///    whose kind mask accepts it. Subscriber callbacks run on
 ///    the drain thread only, one at a time: a subscriber needs no locking
 ///    of its own state;
 ///  - buffering is bounded with an explicit DropPolicy: DropNewest (the
 ///    default; a full ring refuses the event and counts it — hot paths
 ///    never wait on telemetry) or Block (the publisher spins until space
-///    frees — lossless capture for recorders and parity tests);
+///    frees — lossless capture for recorders and tracers);
 ///  - flush() is acked: it returns only after every event published
 ///    before the call has been delivered to subscribers, and the
 ///    destructor performs the same drain before joining the thread, so
@@ -72,15 +70,12 @@ enum class DropPolicy {
   Block       ///< spin/yield until a slot frees; publish never fails
 };
 
-/// One subscriber: a name (diagnostics), the kinds it wants, an optional
-/// per-event predicate (checked after the kind mask; typically an
-/// example-fingerprint match), and the batch callback. OnBatch runs on
-/// the bus's drain thread; batches are non-empty and arrive in publish
-/// order as observed by the ring.
+/// One subscriber: a name (diagnostics), the kinds it wants, and the batch
+/// callback. OnBatch runs on the bus's drain thread; batches are non-empty
+/// and arrive in publish order as observed by the ring.
 struct Subscription {
   std::string Name;
   uint64_t KindMask = AllEventKinds;
-  std::function<bool(const Event &)> Filter; ///< null = accept all
   std::function<void(const std::vector<Event> &)> OnBatch;
 };
 

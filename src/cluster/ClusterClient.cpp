@@ -387,9 +387,6 @@ void ClusterClient::sendSolve(Link &L, RJob &J) {
     ++Counters.Forwarded;
     ++Counters.PerWorkerForwarded[size_t(L.Index)];
   }
-  if (Bus->wants(EventKind::JobForwarded))
-    Bus->publish(Event(EventKind::JobForwarded, J.Fp, J.ReqId, J.Fp,
-                       uint64_t(L.Index), uint64_t(J.Attempts)));
 
   WireMessage M;
   M.Type = MsgType::Solve;
@@ -763,8 +760,6 @@ void ClusterClient::linkEstablished(Link &L) {
     ++Counters.WorkersUp;
   }
   StatsChanged.notify_all();
-  if (Bus->wants(EventKind::WorkerUp))
-    Bus->publish(Event(EventKind::WorkerUp, 0, uint64_t(L.Index)));
   pumpBacklog(L);
 }
 
@@ -785,22 +780,18 @@ void ClusterClient::linkFailed(Link &L, const char *) {
 
   std::vector<uint64_t> Orphans(L.Outstanding.begin(), L.Outstanding.end());
   Orphans.insert(Orphans.end(), L.Backlog.begin(), L.Backlog.end());
-  size_t InFlight = L.Outstanding.size();
   L.Outstanding.clear();
   L.Backlog.clear();
 
   if (WasUp) {
-    MutexLock Lock(StatsM);
-    ++Counters.WorkerDownEvents;
-    if (Counters.WorkersUp)
-      --Counters.WorkersUp;
-    Counters.Failovers += Orphans.size();
-  }
-  if (WasUp) {
+    {
+      MutexLock Lock(StatsM);
+      ++Counters.WorkerDownEvents;
+      if (Counters.WorkersUp)
+        --Counters.WorkersUp;
+      Counters.Failovers += Orphans.size();
+    }
     StatsChanged.notify_all();
-    if (Bus->wants(EventKind::WorkerDown))
-      Bus->publish(
-          Event(EventKind::WorkerDown, 0, uint64_t(L.Index), InFlight));
   }
 
   // Reroute every job this link held. Attempts were counted at send time,

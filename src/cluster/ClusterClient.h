@@ -29,9 +29,6 @@
 ///    the worker's own reaper enforces it, and a coordinator-side timer
 ///    at deadline+grace catches links that hang without dying.
 ///
-/// Bus events: JobForwarded per remote send, WorkerUp/WorkerDown per link
-/// transition — a dashboard subscriber sees the cluster breathe.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef MORPHEUS_CLUSTER_CLUSTERCLIENT_H

@@ -51,27 +51,24 @@ void ResultCache::reclassifyMissAsHit() {
   ++Counters.Hits;
 }
 
-std::optional<uint64_t> ResultCache::insert(uint64_t Key, Solution S) {
+void ResultCache::insert(uint64_t Key, Solution S) {
   MutexLock Lock(M);
   ++Counters.Insertions;
   if (Capacity == 0)
-    return std::nullopt;
+    return;
   auto It = Index.find(Key);
   if (It != Index.end()) {
     It->second->second = std::move(S);
     Lru.splice(Lru.begin(), Lru, It->second);
-    return std::nullopt;
+    return;
   }
   Lru.emplace_front(Key, std::move(S));
   Index.emplace(Key, Lru.begin());
   if (Lru.size() > Capacity) {
-    uint64_t Evicted = Lru.back().first;
-    Index.erase(Evicted);
+    Index.erase(Lru.back().first);
     Lru.pop_back();
     ++Counters.Evictions;
-    return Evicted;
   }
-  return std::nullopt;
 }
 
 void ResultCache::noteCoalesced() {

@@ -83,9 +83,8 @@ public:
   void reclassifyMissAsHit();
 
   /// Stores \p S under \p Key (replacing any previous entry), evicting the
-  /// least recently used entry when full. Returns the evicted entry's key
-  /// (so the service can report a CacheEvict event), nullopt otherwise.
-  std::optional<uint64_t> insert(uint64_t Key, Solution S);
+  /// least recently used entry when full.
+  void insert(uint64_t Key, Solution S);
 
   /// Bumps the coalesced-submission counter (the single-flight layer in
   /// SynthService detects the duplicate; the cache just owns the counter).

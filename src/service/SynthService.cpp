@@ -253,7 +253,7 @@ SynthService::~SynthService() {
   // Final checkpoint after every thread is gone: it captures the true
   // final state, and nothing can mutate the stores underneath it.
   if (Warm)
-    checkpointNow(/*Final=*/true);
+    checkpointNow();
 }
 
 JobHandle SynthService::submit(Problem P, JobRequest R) {
@@ -313,8 +313,6 @@ JobHandle SynthService::submitImpl(Problem P, const JobRequest &R,
       // Seconds reports this handle's latency, and a hit costs nothing;
       // the original solve's cost lives in the cached Stats.
       Hit->Seconds = 0;
-      if (Bus && Bus->wants(EventKind::CacheHit))
-        Bus->publish(Event(EventKind::CacheHit, State->ExFp, State->Id, Fp));
       complete(State, std::move(*Hit), ResultSource::CacheHit);
       ++Counters.Submitted;
       return JobHandle(std::move(State));
@@ -368,9 +366,6 @@ JobHandle SynthService::submitImpl(Problem P, const JobRequest &R,
         }
       }
       Cache.noteCoalesced();
-      if (Bus && Bus->wants(EventKind::CacheCoalesce))
-        Bus->publish(
-            Event(EventKind::CacheCoalesce, State->ExFp, State->Id, Fp));
       ++Counters.Submitted;
       return JobHandle(std::move(State));
     }
@@ -392,12 +387,8 @@ JobHandle SynthService::submitImpl(Problem P, const JobRequest &R,
       if (!SpaceAvailable.wait_until(Lock, *State->Deadline, SlotFree)) {
         Solution S;
         S.Result = Outcome::Timeout;
-        if (complete(State, std::move(S), ResultSource::QueueDeadline)) {
+        if (complete(State, std::move(S), ResultSource::QueueDeadline))
           ++Counters.QueueDeadlineExpired;
-          if (Bus && Bus->wants(EventKind::JobTimeout))
-            Bus->publish(Event(EventKind::JobTimeout, State->ExFp, State->Id,
-                               Fp, /*QueueExpiry=*/1));
-        }
         ++Counters.Submitted;
         return JobHandle(std::move(State));
       }
@@ -468,8 +459,6 @@ void SynthService::workerLoop() {
       W->Waiters.clear();
       for (const std::shared_ptr<JobHandle::JobState> &St : Waiters) {
         St->Job.reset();
-        if (Bus && Bus->wants(EventKind::CacheHit))
-          Bus->publish(Event(EventKind::CacheHit, St->ExFp, St->Id, W->Fp));
         complete(St, *Hit, ResultSource::CacheHit);
       }
       SpaceAvailable.notify_all();
@@ -522,11 +511,8 @@ void SynthService::workerLoop() {
         SolveClamp && *SolveClamp < SolveStart + Eng.options().config().Timeout +
                                         std::chrono::seconds(1);
     if (S.Result == Outcome::Solved || S.Result == Outcome::Exhausted ||
-        (S.Result == Outcome::Timeout && !ClampTruncated)) {
-      std::optional<uint64_t> Evicted = Cache.insert(W->Fp, S);
-      if (Evicted && Bus && Bus->wants(EventKind::CacheEvict))
-        Bus->publish(Event(EventKind::CacheEvict, 0, 0, *Evicted));
-    }
+        (S.Result == Outcome::Timeout && !ClampTruncated))
+      Cache.insert(W->Fp, S);
     std::vector<std::shared_ptr<JobHandle::JobState>> Waiters =
         std::move(W->Waiters);
     W->Waiters.clear();
@@ -564,12 +550,6 @@ void SynthService::loadWarmState() {
       return true;
     });
   }
-  if (Bus && Bus->wants(EventKind::WarmStateLoaded)) {
-    WarmStateStats W = Warm->stats();
-    Bus->publish(Event(EventKind::WarmStateLoaded, 0, W.ResultsLoaded,
-                       W.RefutationKeysLoaded, W.TornTails,
-                       W.FilesRejected ? 1 : 0));
-  }
 }
 
 uint64_t SynthService::warmActivitySignal() {
@@ -595,12 +575,12 @@ void SynthService::checkpointLoop() {
       return; // the destructor runs the final checkpoint itself
     Lock.unlock();
     if (warmActivitySignal() != LastCheckpointSignal)
-      checkpointNow(/*Final=*/false);
+      checkpointNow();
     Lock.lock();
   }
 }
 
-void SynthService::checkpointNow(bool Final) {
+void SynthService::checkpointNow() {
   // The signal is read before the snapshots: activity landing between the
   // two is re-captured by the next interval's signal comparison.
   uint64_t Signal = warmActivitySignal();
@@ -618,18 +598,10 @@ void SynthService::checkpointNow(bool Final) {
             [](const auto &A, const auto &B) { return A.first < B.first; });
   std::vector<std::pair<uint64_t, std::vector<uint64_t>>> Scopes;
   Scopes.reserve(Stores.size());
-  uint64_t TotalKeys = 0;
-  for (const auto &KV : Stores) {
+  for (const auto &KV : Stores)
     Scopes.emplace_back(KV.first, KV.second->keys());
-    TotalKeys += Scopes.back().second.size();
-  }
-  if (Warm->checkpoint(Results, Scopes)) {
+  if (Warm->checkpoint(Results, Scopes))
     LastCheckpointSignal = Signal;
-    if (Bus && Bus->wants(EventKind::CheckpointSaved))
-      Bus->publish(Event(EventKind::CheckpointSaved, 0, Results.size(),
-                         TotalKeys, Warm->stats().LastCheckpointBytes,
-                         Final ? 1 : 0));
-  }
 }
 
 std::shared_ptr<RefutationStore>
@@ -751,9 +723,6 @@ void SynthService::shedExpiredWaiters(Work &W) {
           ++Counters.RiderDeadlineExpired;
         else
           ++Counters.QueueDeadlineExpired;
-        if (Bus && Bus->wants(EventKind::JobTimeout))
-          Bus->publish(Event(EventKind::JobTimeout, St->ExFp, St->Id, St->Fp,
-                             W.Running ? 0 : 1));
       }
       AnyExpired = true;
     }

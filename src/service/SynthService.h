@@ -277,16 +277,14 @@ private:
   std::shared_ptr<RefutationStore> refutationScopeFor(const Problem &Prob)
       REQUIRES(M);
   /// Restores the warm stores from the engine's state dir (constructor
-  /// only, before any worker exists — no locks needed) and publishes the
-  /// WarmStateLoaded event.
+  /// only, before any worker exists — no locks needed).
   void loadWarmState();
   /// Periodic persistence (ServiceOptions::checkpointInterval); exits at
   /// shutdown — the destructor runs the final checkpoint itself, after
   /// the pool has drained, so it captures the true final state.
   void checkpointLoop();
-  /// Snapshots both stores and writes one checkpoint. \p Final marks the
-  /// shutdown checkpoint in the CheckpointSaved event.
-  void checkpointNow(bool Final) EXCLUDES(M);
+  /// Snapshots both stores and writes one checkpoint.
+  void checkpointNow() EXCLUDES(M);
   /// Cheap change signal: cache insertions + per-scope store inserts. The
   /// periodic checkpointer skips when it hasn't moved.
   uint64_t warmActivitySignal() EXCLUDES(M);

@@ -27,7 +27,6 @@
 
 #include "smt/Deduce.h"
 
-#include "bus/EventBus.h"
 #include "smt/SpecCompiler.h"
 #include "table/Hash.h"
 
@@ -383,8 +382,6 @@ bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
     if (P->Store->isRefuted(QueryHash)) {
       ++Stats.StoreHits;
       ++Stats.Rejections;
-      if (Bus && Bus->wants(EventKind::RefutationStoreHit))
-        Bus->publish(Event(EventKind::RefutationStoreHit, P->Ex->Fingerprint));
       P->VerdictCache.emplace(std::move(Key), false);
       Stats.SolverSeconds += std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - Start)
@@ -432,9 +429,6 @@ bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
     } else {
       ++Stats.SolverChecks;
       Result = S.check() != z3::unsat;
-      if (Bus && Bus->wants(EventKind::SolverCheck))
-        Bus->publish(Event(EventKind::SolverCheck, P->Ex->Fingerprint,
-                           Result ? 1 : 0));
     }
     S.pop();
     ++Stats.SolverPops;

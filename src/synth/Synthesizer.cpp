@@ -10,8 +10,6 @@
 #include "support/Arena.h"
 #include "table/BatchCheck.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <queue>
 
 using namespace morpheus;
@@ -97,8 +95,6 @@ public:
     // Raw pointer on the hot path; Cfg (alive for the whole run) keeps
     // the shared ownership.
     Bus = Cfg.Bus.get();
-    if (Bus)
-      Engine.setEventBus(Bus);
     // Warm the example's comparison caches once per search: every candidate
     // check reuses the output's fingerprint and canonical row permutation.
     OutputFingerprint = Output.fingerprint();
@@ -405,14 +401,10 @@ bool SearchContext::fillSketch(const HypPtr &Sketch) {
 SynthesisResult SearchContext::run() {
   auto Start = std::chrono::steady_clock::now();
 
-  // Section 8: the paper searches for solutions of different sizes in
-  // parallel threads and stops when any thread succeeds. The sequential
-  // analog is one cost-ordered worklist per program size with *time-fair*
-  // scheduling: each iteration services the non-empty size class that has
-  // consumed the least wall-clock so far. Small-program classes (cheap,
-  // numerous sketches) get many turns while a deep class grinding through
-  // expensive completions cannot starve them — the behaviour of the
-  // paper's per-size threads on one core.
+  // One cost-ordered worklist per program size; each iteration services
+  // the class whose cheapest hypothesis costs least (strict <, so ties go
+  // to the smaller size). The paper's per-size threads (Section 8) are the
+  // parallel portfolio (synth/Portfolio.h).
   using QueueItem = std::pair<double, HypPtr>;
   auto Cmp = [](const QueueItem &A, const QueueItem &B) {
     return A.first > B.first;
@@ -420,7 +412,6 @@ SynthesisResult SearchContext::run() {
   using Queue =
       std::priority_queue<QueueItem, std::vector<QueueItem>, decltype(Cmp)>;
   std::vector<Queue> Worklists(size_t(Cfg.MaxComponents) + 1, Queue(Cmp));
-  std::vector<double> SpentSeconds(Worklists.size(), 0.0);
   Worklists[0].emplace(0.0, Hypothesis::tblHole());
 
   auto PickClass = [&]() -> int {
@@ -432,12 +423,7 @@ SynthesisResult SearchContext::run() {
         Best = int(K);
         continue;
       }
-      bool Better =
-          Cfg.FairSizeScheduling
-              ? SpentSeconds[K] < SpentSeconds[size_t(Best)]
-              : Worklists[K].top().first <
-                    Worklists[size_t(Best)].top().first;
-      if (Better)
+      if (Worklists[K].top().first < Worklists[size_t(Best)].top().first)
         Best = int(K);
     }
     return Best;
@@ -445,7 +431,6 @@ SynthesisResult SearchContext::run() {
 
   for (int Class = PickClass(); Class >= 0 && !expired();
        Class = PickClass()) {
-    auto ClassStart = std::chrono::steady_clock::now();
     HypPtr H = Worklists[size_t(Class)].top().second;
     Worklists[size_t(Class)].pop();
     ++Stats.HypothesesExplored;
@@ -470,31 +455,13 @@ SynthesisResult SearchContext::run() {
           emit(EventKind::SketchRefuted, S->numApplies());
           continue;
         }
-        uint64_t CandBefore = Stats.CandidatesChecked;
-        auto SketchStart = std::chrono::steady_clock::now();
-        bool Found = fillSketch(S);
-        if (std::getenv("MORPHEUS_DEBUG")) {
-          std::fprintf(stderr, "[morpheus] sketch %-60s cand=%llu %.2fs\n",
-                       S->toString().c_str(),
-                       (unsigned long long)(Stats.CandidatesChecked -
-                                            CandBefore),
-                       std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - SketchStart)
-                           .count());
-        }
-        if (Found) {
+        if (fillSketch(S)) {
           Stats.ElapsedSeconds =
               std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - Start)
                   .count();
           Stats.WallSeconds = Stats.ElapsedSeconds;
           Stats.Deduce = Engine.stats();
-          emit(EventKind::SolutionFound, Solution->numApplies());
-          if (Bus && Bus->wants(EventKind::EngineFinished)) {
-            Event E(EventKind::EngineFinished, Ex->Fingerprint, 1);
-            E.Stats = std::make_shared<const SynthesisStats>(Stats);
-            Bus->publish(std::move(E));
-          }
           return {Solution, Stats};
         }
       }
@@ -510,10 +477,6 @@ SynthesisResult SearchContext::run() {
           Worklists[Size].emplace(costOf(Refined), std::move(Refined));
       }
     }
-    SpentSeconds[size_t(Class)] += std::chrono::duration<double>(
-                                       std::chrono::steady_clock::now() -
-                                       ClassStart)
-                                       .count();
   }
 
   Stats.TimedOut = TimedOut;
@@ -522,11 +485,6 @@ SynthesisResult SearchContext::run() {
                              .count();
   Stats.WallSeconds = Stats.ElapsedSeconds;
   Stats.Deduce = Engine.stats();
-  if (Bus && Bus->wants(EventKind::EngineFinished)) {
-    Event E(EventKind::EngineFinished, Ex->Fingerprint, 0);
-    E.Stats = std::make_shared<const SynthesisStats>(Stats);
-    Bus->publish(std::move(E));
-  }
   return {nullptr, Stats};
 }
 

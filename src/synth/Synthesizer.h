@@ -112,11 +112,6 @@ struct SynthesisConfig {
   /// units vary hugely in cost (intermediate tables can grow), so the
   /// work cap alone does not bound a sketch's damage.
   double MaxSecondsPerSketch = 8.0;
-  /// Time-fair scheduling across program-size classes — the sequential
-  /// analog of the paper's per-size search threads (Section 8). Helps
-  /// deep programs (5 components) at the cost of noisy times on small
-  /// ones; the default is the classic single cost-ordered worklist.
-  bool FairSizeScheduling = false;
   /// External cancellation (Section 8 portfolio, Engine::solve): the search
   /// polls the token and aborts — reported as a timeout — once a stop is
   /// requested. The default-constructed token is inert (never cancels); the
@@ -133,9 +128,8 @@ struct SynthesisConfig {
   /// Must be scoped to the example being solved (see RefutationStore).
   std::shared_ptr<RefutationStore> Refutations;
   /// Optional synthesis event bus (bus/EventBus.h). When set, the search
-  /// and the deduction engine publish typed events (sketch generated /
-  /// refuted, batched hole fills, Z3 checks, store hits, per-run stats
-  /// snapshots) for off-hot-path subscribers. Null — the default — keeps
+  /// publishes per-sketch events (sketch generated / refuted, one batched
+  /// hole-fill delta per completed sketch) for off-hot-path subscribers. Null — the default — keeps
   /// the hot path byte-identical to a bus-free build: not a single
   /// branch beyond one pointer test per publish site. Excluded from the
   /// service problem fingerprint: observability never changes which

@@ -7,11 +7,13 @@
 /// \file
 /// Unit tests of hypotheses/refinement trees, table-driven type
 /// inhabitation, the n-gram model, and integration tests: one benchmark
-/// per category synthesized end-to-end under Spec 2, and the synthesized
-/// program replayed against the expected output.
+/// per category synthesized end-to-end under Spec 2, the synthesized
+/// program replayed against the expected output, and the per-sketch bus
+/// events re-summed against the in-band counters.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "bus/EventBus.h"
 #include "interp/Components.h"
 #include "io/ProgramIO.h"
 #include "ngram/NGramModel.h"
@@ -239,10 +241,84 @@ TEST(Configs, Spec2PrunesAtLeastAsMuchAsSpec1) {
   TaskResult R2 = runTask(*T, configSpec2(test_budget::scaledBudget(30000)));
   EXPECT_TRUE(R2.Solved);
   // Spec 1 is an under-constraining of Spec 2; with a generous budget it
-  // solves the task too, but the time-fair scheduler makes its running
-  // time noisy on one core, so only Spec 2 is asserted here.
+  // solves the task too, but its running time is noisy on one core, so
+  // only Spec 2 is asserted here.
   TaskResult R1 = runTask(*T, configSpec1(test_budget::scaledBudget(30000)));
   (void)R1;
+}
+
+/// The per-sketch events (what a tracer subscribes to) re-sum exactly to
+/// the in-band counters of the same solve: one SketchGenerated per
+/// generated sketch, one SketchRefuted per refuted one, one HoleFillBatch
+/// per completed sketch, and the batches' A/B/C deltas sum to the fill
+/// and candidate counters. Both are produced by the same run, so over a
+/// lossless bus this holds whether the solve ends solved or timed out.
+TEST(SketchEvents, ReSumToSolutionStats) {
+  struct Case {
+    const char *Id;
+    std::chrono::milliseconds Budget;
+    Outcome Expected;
+  };
+  // C2-07 solves after refuting a sketch; C2-04 does not solve inside
+  // 5 s, so 300 ms always times out.
+  const Case Cases[] = {
+      {"C1-01", test_budget::scaledBudget(20000), Outcome::Solved},
+      {"C2-07", test_budget::scaledBudget(20000), Outcome::Solved},
+      {"C3-09", test_budget::scaledBudget(20000), Outcome::Solved},
+      {"C2-04", std::chrono::milliseconds(300), Outcome::Timeout}};
+  uint64_t SolvedRefuted = 0;
+  for (const Case &C : Cases) {
+    const BenchmarkTask *T = nullptr;
+    for (const BenchmarkTask &B : morpheusSuite())
+      if (B.Id == C.Id)
+        T = &B;
+    ASSERT_NE(T, nullptr) << C.Id;
+
+    EventBus::Options BusOpts;
+    BusOpts.Policy = DropPolicy::Block; // re-summing needs every event
+    std::shared_ptr<EventBus> Bus = EventBus::create(BusOpts);
+    uint64_t Generated = 0, Refuted = 0, Batches = 0;
+    uint64_t Tried = 0, Pruned = 0, Checked = 0;
+    Subscription Sub;
+    Sub.Name = "sketch-tally";
+    Sub.KindMask = eventKindBit(EventKind::SketchGenerated) |
+                   eventKindBit(EventKind::SketchRefuted) |
+                   eventKindBit(EventKind::HoleFillBatch);
+    Sub.OnBatch = [&](const std::vector<Event> &Batch) {
+      for (const Event &E : Batch) {
+        if (E.Kind == EventKind::SketchGenerated) {
+          ++Generated;
+        } else if (E.Kind == EventKind::SketchRefuted) {
+          ++Refuted;
+        } else {
+          ++Batches;
+          Tried += E.A;
+          Pruned += E.B;
+          Checked += E.C;
+        }
+      }
+    };
+    Bus->subscribe(std::move(Sub));
+
+    Engine E(libraryForTask(*T),
+             EngineOptions().config(configSpec2(C.Budget)).eventBus(Bus));
+    Solution S = E.solve(toProblem(*T));
+    Bus->flush();
+
+    EXPECT_EQ(S.Result, C.Expected) << C.Id;
+    EXPECT_EQ(Bus->stats().Dropped, 0u) << C.Id;
+    const SynthesisStats &St = S.Stats;
+    EXPECT_EQ(Generated, St.SketchesGenerated) << C.Id;
+    EXPECT_EQ(Refuted, St.SketchesRefuted) << C.Id;
+    EXPECT_EQ(Batches, St.SketchesGenerated - St.SketchesRefuted) << C.Id;
+    EXPECT_EQ(Tried, St.PartialFillsTried) << C.Id;
+    EXPECT_EQ(Pruned, St.PartialFillsPruned) << C.Id;
+    EXPECT_EQ(Checked, St.CandidatesChecked) << C.Id;
+    if (S.Result == Outcome::Solved)
+      SolvedRefuted += St.SketchesRefuted;
+  }
+  // Some solved case must exercise the SketchRefuted path.
+  EXPECT_GT(SolvedRefuted, 0u);
 }
 
 } // namespace

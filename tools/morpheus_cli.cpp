@@ -33,7 +33,6 @@
 #include "api/Engine.h"
 #include "bus/EventBus.h"
 #include "bus/Replay.h"
-#include "bus/StatsSink.h"
 #include "bus/TrafficRecorder.h"
 #include "cluster/ClusterClient.h"
 #include "cluster/WorkerNode.h"
@@ -115,10 +114,6 @@ int usage(const char *Msg = nullptr) {
       "  --json PATH                      write a perf snapshot (per-task\n"
       "                                   solve times + candidate\n"
       "                                   throughput), e.g. BENCH_synth.json\n"
-      "  --bus                            attach a lossless event bus and\n"
-      "                                   cross-check event-derived stats\n"
-      "                                   against the in-band counters\n"
-      "                                   (exit 1 on divergence)\n"
       "  --state-dir DIR                  run the suite through a service\n"
       "                                   with durable warm state in DIR\n"
       "                                   (created if missing); a second\n"
@@ -490,7 +485,6 @@ int runBench(ArgReader &Args) {
   int TimeoutMs = 5000;
   unsigned Threads = 0;
   size_t Limit = SIZE_MAX;
-  bool UseBus = false;
   bool SimdOff = false;
 
   while (!Args.done()) {
@@ -556,8 +550,6 @@ int runBench(ArgReader &Args) {
       if (!Args.value(A, V))
         return 2;
       JsonPath = V;
-    } else if (A == "--bus") {
-      UseBus = true;
     } else if (A == "--state-dir") {
       if (!Args.value(A, V))
         return 2;
@@ -566,11 +558,6 @@ int runBench(ArgReader &Args) {
       return usage(("unknown option " + A).c_str());
     }
   }
-  // The --bus parity check compares SolveFinished events against in-band
-  // per-solve counters; warm cache hits never run Engine::solve, so the
-  // two accountings legitimately diverge under a state dir.
-  if (UseBus && !StateDir.empty())
-    return usage("--bus cannot be combined with --state-dir");
   if (!StateDir.empty() && !ensureDir(StateDir))
     return usage(("cannot create state dir " + StateDir).c_str());
 
@@ -589,19 +576,6 @@ int runBench(ArgReader &Args) {
       SuiteName == "sql" ? sqlSuite() : morpheusSuite();
   if (Suite.size() > Limit)
     Suite.resize(Limit);
-
-  // --bus: the whole suite publishes to a lossless bus and the sink's
-  // event-derived numbers are held to the in-band counters afterwards —
-  // the runtime analog of tests/StatsParityTest.cpp.
-  std::shared_ptr<EventBus> Bus;
-  std::unique_ptr<StatsSink> Sink;
-  if (UseBus) {
-    EventBus::Options BusOpts;
-    BusOpts.Policy = DropPolicy::Block;
-    Bus = EventBus::create(BusOpts);
-    Sink = std::make_unique<StatsSink>(Bus);
-    Cfg.Bus = Bus;
-  }
 
   std::printf("suite %s (%zu tasks), config %s, strategy %s, timeout %d ms, "
               "sharing %s, simd %s\n",
@@ -712,47 +686,6 @@ int runBench(ArgReader &Args) {
     std::printf("wrote %s\n", JsonPath.c_str());
   }
 
-  if (Sink) {
-    Bus->flush();
-    SynthesisStats EvAgg = Sink->aggregate();
-    size_t EvSolves = Sink->solves().size();
-    bool Ok = EvSolves == Results.size() &&
-              EvAgg.HypothesesExplored == Agg.HypothesesExplored &&
-              EvAgg.SketchesGenerated == Agg.SketchesGenerated &&
-              EvAgg.SketchesRefuted == Agg.SketchesRefuted &&
-              EvAgg.PartialFillsTried == Agg.PartialFillsTried &&
-              EvAgg.PartialFillsPruned == Agg.PartialFillsPruned &&
-              EvAgg.CandidatesChecked == Agg.CandidatesChecked &&
-              EvAgg.Deduce.SolverChecks == Agg.Deduce.SolverChecks &&
-              EvAgg.Deduce.StoreHits == Agg.Deduce.StoreHits;
-    // One engine run IS the solve under the sequential strategy, so the
-    // per-occurrence events must re-sum to the same totals too. (The
-    // portfolio's losers are cancelled mid-flight; their event streams
-    // are real work the in-band per-solve numbers also include, but
-    // delivery interleaving makes per-kind equality the only meaningful
-    // sequential check.)
-    if (Strat == Strategy::Sequential) {
-      EventTallies T = Sink->tallies();
-      Ok = Ok && T.SketchesGenerated == Agg.SketchesGenerated &&
-           T.SketchesRefuted == Agg.SketchesRefuted &&
-           T.PartialFillsTried == Agg.PartialFillsTried &&
-           T.PartialFillsPruned == Agg.PartialFillsPruned &&
-           T.CandidatesChecked == Agg.CandidatesChecked &&
-           T.SolverChecks == Agg.Deduce.SolverChecks &&
-           T.StoreHits == Agg.Deduce.StoreHits;
-    }
-    BusStats BS = Bus->stats();
-    std::printf("bus: %llu published, %llu delivered, %llu dropped, "
-                "max batch %llu — event-derived stats %s\n",
-                (unsigned long long)BS.Published,
-                (unsigned long long)BS.Delivered,
-                (unsigned long long)BS.Dropped,
-                (unsigned long long)BS.MaxBatch,
-                Ok ? "match in-band counters" : "DIVERGE from in-band "
-                                               "counters");
-    if (!Ok)
-      return 1;
-  }
   return 0;
 }
 
