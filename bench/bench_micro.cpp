@@ -8,12 +8,17 @@
 /// Microbenchmarks of the pieces whose costs Section 9 discusses: the
 /// component evaluator (the paper's R-interpreter bottleneck, 68% of its
 /// runtime), the DEDUCE SMT query, the abstraction function α, and type
-/// inhabitation enumeration.
+/// inhabitation enumeration. Also the JSON codec on the `morpheus serve`
+/// cache-hit path.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "interp/Components.h"
+#include "io/ProblemIO.h"
+#include "io/ProgramIO.h"
+#include "net/Protocol.h"
 #include "smt/Deduce.h"
+#include "suite/Runner.h"
 #include "suite/Task.h"
 #include "support/Simd.h"
 #include "synth/Inhabitation.h"
@@ -22,6 +27,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 
 using namespace morpheus;
@@ -494,6 +500,69 @@ void BM_GroupByVectorized(benchmark::State &State) {
   groupByArm(State, simd::detectedSimdLevel());
 }
 BENCHMARK(BM_GroupByVectorized)->Arg(100)->Arg(1000)->Arg(10000);
+
+//===----------------------------------------------------------------------===//
+// The JSON codec on the serve cache-hit path: one request line parsed, one
+// response line written, per iteration. The lines are those of the 68 short
+// morpheus tasks, the task set of repobench's serve-hot workload.
+//===----------------------------------------------------------------------===//
+
+/// The morpheus suite minus the four deep tasks and the eight that
+/// repobench leaves out.
+std::vector<const BenchmarkTask *> shortMorpheusTasks() {
+  static const char *const Skip[] = {"C2-04", "C4-12", "C4-13", "C4-14",
+                                     "C5-10", "C5-11", "C7-01", "C8-01",
+                                     "C8-02", "C8-03", "C8-04", "C9-01"};
+  std::vector<const BenchmarkTask *> Out;
+  for (const BenchmarkTask &T : morpheusSuite())
+    if (std::find(std::begin(Skip), std::end(Skip), T.Id) == std::end(Skip))
+      Out.push_back(&T);
+  return Out;
+}
+
+void BM_JsonParseServeRequest(benchmark::State &State) {
+  std::vector<std::string> Lines;
+  for (const BenchmarkTask *T : shortMorpheusTasks()) {
+    JsonValue Req = JsonValue::object();
+    Req.set("id", JsonValue::string(T->Id));
+    Req.set("problem", problemToJson(toProblem(*T)));
+    Lines.push_back(Req.dump());
+  }
+  size_t I = 0, Bytes = 0;
+  for (auto _ : State) {
+    const std::string &Line = Lines[I++ % Lines.size()];
+    benchmark::DoNotOptimize(parseJson(Line));
+    Bytes += Line.size();
+  }
+  State.SetBytesProcessed(int64_t(Bytes));
+}
+BENCHMARK(BM_JsonParseServeRequest);
+
+void BM_JsonServeResponseLine(benchmark::State &State) {
+  // Cache-hit responses carrying each task's ground-truth program.
+  std::vector<ServeResponse> Responses;
+  for (const BenchmarkTask *T : shortMorpheusTasks()) {
+    ServeResponse R;
+    R.Id = JsonValue::string(T->Id);
+    R.Name = T->Id;
+    R.OutcomeStr = "solved";
+    R.SourceStr = "cache-hit";
+    R.Seconds = 0.0123;
+    R.QueueMs = 0.0041;
+    R.SolveMs = 0;
+    R.HasProgram = true;
+    R.ProgramR = emitRProgram(T->GroundTruth, toProblem(*T).inputNames());
+    R.ProgramSexp = printSexp(T->GroundTruth);
+    R.Hypotheses = 17;
+    R.CandidatesChecked = 2048;
+    Responses.push_back(std::move(R));
+  }
+  size_t I = 0;
+  for (auto _ : State)
+    benchmark::DoNotOptimize(
+        serveResponseLine(Responses[I++ % Responses.size()]));
+}
+BENCHMARK(BM_JsonServeResponseLine);
 
 } // namespace
 

@@ -6,10 +6,25 @@
 ///
 /// \file
 /// A small self-contained JSON library for the problem/table file formats
-/// (src/io/TableIO, src/io/ProblemIO). The container image bakes in no JSON
-/// dependency, and the subset we need — parse, navigate, pretty-print — is
-/// ~200 lines, so we own it. Numbers are doubles (matching the num cell
-/// type); object key order is preserved so written files are stable.
+/// (src/io/TableIO, src/io/ProblemIO) and the `morpheus serve` wire lines
+/// (src/net/Protocol). The subset we need is parse, navigate and
+/// pretty-print, so we own it rather than take a dependency. Numbers are
+/// doubles (matching the num cell type); object key order is preserved so
+/// written files are stable.
+///
+/// It sits on the serve cache-hit path, where a request line is parsed and
+/// a response line written per request, so both directions avoid per-byte
+/// and per-node overhead:
+///  - The reader is a recursive descent that parses each value straight
+///    into its slot in the parent container, copies string runs between
+///    escapes in bulk, and converts numbers with std::from_chars on the
+///    text with strtod semantics (overflow gives +/-inf, underflow a
+///    denormal or +/-0). \uXXXX escapes decode to UTF-8, a surrogate pair
+///    to one code point.
+///  - The writer appends into one std::string, copies unescaped runs in
+///    bulk, and formats numbers with std::to_chars: integral values below
+///    1e15 as "%.0f", others as the shortest "%.15g".."%.17g" that parses
+///    back exactly. The bytes are pinned by tests/IoTest.cpp.
 ///
 //===----------------------------------------------------------------------===//
 

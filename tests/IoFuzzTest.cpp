@@ -24,6 +24,7 @@
 #include "io/Json.h"
 #include "io/ProblemIO.h"
 #include "io/TableIO.h"
+#include "service/Fingerprint.h"
 
 #include <gtest/gtest.h>
 
@@ -124,9 +125,33 @@ TEST(JsonFuzz, HugeAndDegenerateNumbers) {
   EXPECT_TRUE(std::isinf(Tiny->Num));
   EXPECT_TRUE(parseJson("1e-999")); // underflows to 0: fine
 
+  // Underflow keeps its sign, and the smallest denormal is a value, not a
+  // range error.
+  std::optional<JsonValue> Zero = parseJson("1e-400");
+  ASSERT_TRUE(Zero);
+  EXPECT_EQ(Zero->Num, 0.0);
+  EXPECT_FALSE(std::signbit(Zero->Num));
+  std::optional<JsonValue> NegZero = parseJson("-1e-400");
+  ASSERT_TRUE(NegZero);
+  EXPECT_EQ(NegZero->Num, 0.0);
+  EXPECT_TRUE(std::signbit(NegZero->Num));
+  std::optional<JsonValue> Denormal = parseJson("4.9e-324");
+  ASSERT_TRUE(Denormal);
+  EXPECT_EQ(Denormal->Num, std::nextafter(0.0, 1.0));
+
   std::optional<JsonValue> Long =
       parseJson("[" + std::string(400, '9') + "]");
   ASSERT_TRUE(Long); // 400 digits: saturates, no overflow UB
+  EXPECT_TRUE(std::isinf(Long->Arr[0].Num));
+  // A 400-digit mantissa that is in range rounds correctly.
+  std::optional<JsonValue> LongFrac =
+      parseJson("0." + std::string(400, '3'));
+  ASSERT_TRUE(LongFrac);
+  EXPECT_EQ(LongFrac->Num, 1.0 / 3);
+  std::optional<JsonValue> LongScaled =
+      parseJson("1" + std::string(399, '0') + "e-399");
+  ASSERT_TRUE(LongScaled);
+  EXPECT_EQ(LongScaled->Num, 1.0);
 
   // Non-finite numbers write back as null (JSON has no inf literal), and
   // null is rejected as a num cell on re-read: a clean error, not a crash.
@@ -164,6 +189,56 @@ TEST(JsonFuzz, InvalidUtf8BytesPassThroughOrFailCleanly) {
                     "\"output\": {\"columns\": [{\"name\": \"s\", \"type\": "
                     "\"str\"}], \"rows\": [[\"\xf0\x28\"]]}}";
   EXPECT_TRUE(pipelineSurvives(Doc));
+}
+
+TEST(JsonFuzz, SurrogatePairsDecodeToOneCodePoint) {
+  // Python's json.dumps escapes non-BMP characters as a surrogate pair by
+  // default; the pair must decode to the same UTF-8 bytes as the raw text.
+  std::optional<JsonValue> Escaped = parseJson(R"("x\ud83d\ude00y")");
+  std::optional<JsonValue> Raw = parseJson("\"x\xf0\x9f\x98\x80y\"");
+  ASSERT_TRUE(Escaped);
+  ASSERT_TRUE(Raw);
+  EXPECT_EQ(Escaped->Str, "x\xf0\x9f\x98\x80y");
+  EXPECT_EQ(Escaped->Str, Raw->Str);
+  std::optional<JsonValue> Max = parseJson(R"("\udbff\udfff")");
+  ASSERT_TRUE(Max);
+  EXPECT_EQ(Max->Str, "\xf4\x8f\xbf\xbf"); // U+10FFFF
+
+  // A surrogate that is not half of a pair has no UTF-8 form.
+  for (const char *Lone :
+       {R"("\ud83d")", R"("\ud83dx")", R"("\ud83d\n")", R"("\ud83dA")",
+        R"("\ud83d\ud83d")", R"("\ude00")", R"("\ude00\ud83d")"}) {
+    std::string Err;
+    EXPECT_FALSE(parseJson(Lone, &Err)) << Lone;
+    EXPECT_NE(Err.find("invalid \\u escape"), std::string::npos) << Err;
+  }
+  // A pair cut short reports the truncation, like any \u escape.
+  std::string Err;
+  EXPECT_FALSE(parseJson(R"("\ud83d\ude0)", &Err));
+  EXPECT_NE(Err.find("truncated \\u escape"), std::string::npos) << Err;
+
+  // The same problem sent either way is the same cache key.
+  auto ProblemDoc = [](const std::string &Cell) {
+    return R"({"inputs": [{"columns": [{"name": "s", "type": "str"}],
+                           "rows": [[")" +
+           Cell + R"("], ["b"]]}],
+               "output": {"columns": [{"name": "s", "type": "str"}],
+                          "rows": [[")" +
+           Cell + R"("]]}})";
+  };
+  std::optional<JsonValue> EscapedDoc =
+      parseJson(ProblemDoc(R"(smile \ud83d\ude00)"));
+  std::optional<JsonValue> RawDoc =
+      parseJson(ProblemDoc("smile \xf0\x9f\x98\x80"));
+  ASSERT_TRUE(EscapedDoc);
+  ASSERT_TRUE(RawDoc);
+  std::optional<Problem> EscapedP = problemFromJson(*EscapedDoc);
+  std::optional<Problem> RawP = problemFromJson(*RawDoc);
+  ASSERT_TRUE(EscapedP);
+  ASSERT_TRUE(RawP);
+  EngineOptions Opts;
+  EXPECT_EQ(problemFingerprint(*EscapedP, Opts),
+            problemFingerprint(*RawP, Opts));
 }
 
 TEST(JsonFuzz, DeepNestingIsBoundedNotStackOverflow) {

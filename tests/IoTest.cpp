@@ -17,11 +17,15 @@
 #include "io/ProblemIO.h"
 #include "io/ProgramIO.h"
 #include "io/TableIO.h"
+#include "net/Protocol.h"
 #include "suite/Task.h"
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstring>
+#include <random>
 
 using namespace morpheus;
 
@@ -102,6 +106,101 @@ TEST(Json, NonFiniteNumbersSerializeAsNull) {
   // JSON has no NaN/Infinity literal; the writer must stay parseable.
   EXPECT_EQ(JsonValue::number(std::nan("")).dump(), "null");
   EXPECT_EQ(JsonValue::number(HUGE_VAL).dump(), "null");
+}
+
+// The writer's exact bytes are a contract: served responses, traffic logs
+// and golden files are compared byte for byte, so a formatting drift must
+// fail here rather than as a distant golden diff.
+
+TEST(Json, NumberBytesArePinned) {
+  const std::pair<double, const char *> Ladder[] = {
+      {0.0, "0"},
+      {-0.0, "-0"},
+      {1.0, "1"},
+      {0.1, "0.1"},
+      {1.0 / 3, "0.3333333333333333"},
+      {1e-7, "1e-07"},
+      {123456.789, "123456.789"},
+      {999999999999999.0, "999999999999999"},
+      {1e15, "1e+15"},
+      {1e21, "1e+21"},
+      {9007199254740993.0, "9007199254740992"}, // 2^53 + 1 rounds to 2^53
+      {5e-324, "4.94065645841247e-324"},
+      {DBL_MAX, "1.7976931348623157e+308"},
+  };
+  for (const auto &[N, Bytes] : Ladder)
+    EXPECT_EQ(JsonValue::number(N).dump(), Bytes) << Bytes;
+}
+
+TEST(Json, StringEscapeBytesArePinned) {
+  std::string S = "q\" b\\ n\n t\t r\r b\b f\f z\x01\x1f / \x7f "
+                  "caf\xc3\xa9 \xe6\x97\xa5 \xf0\x9f\x98\x80";
+  EXPECT_EQ(JsonValue::string(S).dump(),
+            R"("q\" b\\ n\n t\t r\r b\u0008 f\u000c z\u0001\u001f / )"
+            "\x7f caf\xc3\xa9 \xe6\x97\xa5 \xf0\x9f\x98\x80\"");
+}
+
+TEST(Json, PrettyAndCompactBytesArePinned) {
+  std::optional<JsonValue> V = parseJson(
+      R"({"name":"t","rows":[[1,"a"],[2.5,null]],"flags":[true,false],)"
+      R"("empty":[],"opts":{}})");
+  ASSERT_TRUE(V);
+  EXPECT_EQ(V->dump(), R"({"name":"t","rows":[[1,"a"],[2.5,null]],)"
+                       R"("flags":[true,false],"empty":[],"opts":{}})");
+  EXPECT_EQ(V->dump(2), "{\n"
+                        "  \"name\": \"t\",\n"
+                        "  \"rows\": [\n"
+                        "    [1, \"a\"],\n"
+                        "    [2.5, null]\n"
+                        "  ],\n"
+                        "  \"flags\": [true, false],\n"
+                        "  \"empty\": [],\n"
+                        "  \"opts\": {}\n"
+                        "}");
+}
+
+TEST(Json, ServeResponseLineBytesArePinned) {
+  ServeResponse R;
+  R.Id = JsonValue::string("req-7");
+  R.Name = "C3-01";
+  R.OutcomeStr = "solved";
+  R.SourceStr = "cache-hit";
+  R.Seconds = 0.0123;
+  R.QueueMs = 0.25;
+  R.SolveMs = 0;
+  R.HasProgram = true;
+  R.ProgramR = "df1 <- filter(input1, name == \"Bob, Jr.\")";
+  R.ProgramSexp = "(filter (in 0) name == \"Bob, Jr.\")";
+  R.Hypotheses = 12;
+  R.CandidatesChecked = 3456;
+  R.Worker = 1;
+  EXPECT_EQ(serveResponseLine(R),
+            R"J({"id":"req-7","name":"C3-01","outcome":"solved",)J"
+            R"J("source":"cache-hit","seconds":0.0123,"queue_ms":0.25,)J"
+            R"J("solve_ms":0,"program":{"r":"df1 <- filter(input1, name == )J"
+            R"J(\"Bob, Jr.\")","sexp":"(filter (in 0) name == \"Bob, Jr.\")"},)J"
+            R"J("stats":{"hypotheses":12,"candidates_checked":3456},"worker":1})J");
+}
+
+TEST(Json, NumbersParseBackBitIdentical) {
+  // Random bit patterns cover denormals and every exponent; the second
+  // half are short decimals, the values tables actually hold.
+  std::mt19937_64 Rng(20171);
+  for (int I = 0; I != 10000; ++I) {
+    double D;
+    if (I % 2 == 0) {
+      uint64_t Bits = Rng();
+      std::memcpy(&D, &Bits, sizeof(D));
+      if (!std::isfinite(D))
+        continue;
+    } else {
+      D = double(int64_t(Rng() % 2000001) - 1000000) / 1000.0;
+    }
+    std::string Text = JsonValue::number(D).dump();
+    std::optional<JsonValue> Back = parseJson(Text);
+    ASSERT_TRUE(Back) << Text;
+    EXPECT_EQ(std::memcmp(&Back->Num, &D, sizeof(D)), 0) << Text;
+  }
 }
 
 //===----------------------------------------------------------------------===//
