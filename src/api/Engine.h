@@ -117,8 +117,7 @@ public:
     return *this;
   }
   /// Attaches a synthesis event bus (bus/EventBus.h): the search engines
-  /// publish per-sketch events and any SynthService built over this engine
-  /// publishes job-lifecycle events to it. Null (default) disables publishing
+  /// publish per-sketch events to it. Null (default) disables publishing
   /// entirely; with a bus attached but no subscriber for a kind, each
   /// publish site costs one relaxed atomic load.
   EngineOptions &eventBus(std::shared_ptr<EventBus> B) {

@@ -19,12 +19,6 @@ std::string_view morpheus::eventKindName(EventKind K) {
     return "sketch-refuted";
   case EventKind::HoleFillBatch:
     return "hole-fill-batch";
-  case EventKind::JobSubmitted:
-    return "job-submitted";
-  case EventKind::JobStarted:
-    return "job-started";
-  case EventKind::JobCompleted:
-    return "job-completed";
   }
   return "?";
 }
@@ -130,8 +124,7 @@ size_t EventBus::popBatch(std::vector<Event> &Out) {
     uint64_t Seq = S.Seq.load(std::memory_order_acquire);
     if (Seq != DequeuePos + 1)
       break; // empty, or a producer claimed but has not finished writing
-    Out.push_back(std::move(S.E));
-    S.E = Event(); // drop payload refs while we still own the slot
+    Out.push_back(S.E);
     // Recycle for the producer one lap ahead.
     S.Seq.store(DequeuePos + Opts.Capacity, std::memory_order_release);
     ++DequeuePos;

@@ -10,18 +10,21 @@
 /// event stream instead of being compiled into the core).
 ///
 ///   std::shared_ptr<EventBus> Bus = EventBus::create();
-///   Bus->subscribe({"recorder",
-///                   eventKindBit(EventKind::JobSubmitted) |
-///                       eventKindBit(EventKind::JobCompleted),
+///   Bus->subscribe({"sketch-tracer",
+///                   eventKindBit(EventKind::SketchGenerated) |
+///                       eventKindBit(EventKind::HoleFillBatch),
 ///                   [](const std::vector<Event> &Batch) { ... }});
 ///   Engine E = Engine::standard(EngineOptions().eventBus(Bus));
 ///
+/// The bus carries search telemetry only. It is not a completion channel:
+/// code that must act when a service job finishes registers
+/// JobHandle::onDone (service/SynthService.h).
+///
 /// Architecture:
-///  - producers (search threads, service workers) publish() into one
-///    bounded multi-producer ring; a publish is a mask test, a CAS-claimed
-///    slot write and a release store — no locks, no allocation for
-///    scalar-only events, and a no-subscriber publish is just the mask
-///    test (a single relaxed load);
+///  - producers (search threads) publish() into one bounded
+///    multi-producer ring; a publish is a mask test, a CAS-claimed slot
+///    write and a release store — no locks, no allocation, and a
+///    no-subscriber publish is just the mask test (a single relaxed load);
 ///  - one dedicated drain thread pops events in batches (up to
 ///    Options::MaxBatch) and delivers each batch to every subscriber
 ///    whose kind mask accepts it. Subscriber callbacks run on
@@ -30,7 +33,7 @@
 ///  - buffering is bounded with an explicit DropPolicy: DropNewest (the
 ///    default; a full ring refuses the event and counts it — hot paths
 ///    never wait on telemetry) or Block (the publisher spins until space
-///    frees — lossless capture for recorders and tracers);
+///    frees — lossless capture for tracers);
 ///  - flush() is acked: it returns only after every event published
 ///    before the call has been delivered to subscribers, and the
 ///    destructor performs the same drain before joining the thread, so

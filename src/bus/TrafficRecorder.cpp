@@ -7,15 +7,18 @@
 #include "bus/TrafficRecorder.h"
 
 #include "io/ProblemIO.h"
+#include "io/ProgramIO.h"
+#include "service/Fingerprint.h"
 #include "service/SynthService.h"
+#include "spec/Abstraction.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <ostream>
-#include <sstream>
 
 using namespace morpheus;
 
@@ -27,11 +30,19 @@ std::string hex64(uint64_t V) {
   return Buf;
 }
 
+/// True when \p D is a whole number inside [\p Lo, \p Hi) — the check that
+/// makes a double-to-integer cast defined. NaN and the infinities (a
+/// "1e999" literal parses as inf) fail every comparison here.
+bool isIntegralIn(double D, double Lo, double Hi) {
+  return D >= Lo && D < Hi && std::trunc(D) == D;
+}
+
 /// Parses "0x…" (or plain decimal) into a uint64; JSON numbers are doubles
-/// and cannot carry 64 bits, so fingerprints travel as strings.
+/// and cannot carry 64 bits, so fingerprints travel as strings. A number
+/// must be a whole value below 2^64.
 bool parseU64(const JsonValue &V, uint64_t &Out) {
   if (V.isNumber()) {
-    if (V.Num < 0)
+    if (!isIntegralIn(V.Num, 0, 18446744073709551616.0))
       return false;
     Out = uint64_t(V.Num);
     return true;
@@ -94,7 +105,9 @@ morpheus::parseTrafficRecord(std::string_view Line, std::string *Err) {
     return std::nullopt;
 
   const JsonValue *Prio = Doc->find("priority");
-  if (!Prio || !Prio->isNumber()) {
+  if (!Prio || !Prio->isNumber() ||
+      !isIntegralIn(Prio->Num, -9223372036854775808.0,
+                    9223372036854775808.0)) {
     if (Err)
       *Err = "missing or malformed 'priority'";
     return std::nullopt;
@@ -200,85 +213,33 @@ std::string morpheus::trafficRecordToLine(const TrafficRecord &R) {
   return Doc.dump(0);
 }
 
-TrafficRecorder::TrafficRecorder(std::shared_ptr<EventBus> BusIn,
-                                 std::ostream &OutIn)
-    : Bus(std::move(BusIn)), Out(OutIn) {
-  Subscription S;
-  S.Name = "traffic-recorder";
-  S.KindMask = eventKindBit(EventKind::JobSubmitted) |
-               eventKindBit(EventKind::JobStarted) |
-               eventKindBit(EventKind::JobCompleted);
-  S.OnBatch = [this](const std::vector<Event> &Batch) { onBatch(Batch); };
-  SubId = Bus->subscribe(std::move(S));
+TrafficRecord
+morpheus::trafficArrival(uint64_t Job,
+                         std::chrono::steady_clock::time_point Epoch,
+                         const Problem &P, const EngineOptions &Opts,
+                         const JobRequest &R) {
+  TrafficRecord Rec;
+  Rec.Job = Job;
+  Rec.ArrivalNs =
+      uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   std::chrono::steady_clock::now() - Epoch)
+                   .count());
+  Rec.Fp = problemFingerprint(P, Opts);
+  Rec.ExFp = exampleFingerprint(P.Inputs, P.Output);
+  Rec.Priority = R.priority();
+  Rec.DeadlineMs = uint64_t(R.deadline().count());
+  Rec.Prob = std::make_shared<const Problem>(P);
+  return Rec;
 }
 
-TrafficRecorder::~TrafficRecorder() {
-  // Unsubscribe first: it waits for in-flight batches, so no callback can
-  // race the flush below or touch a dead recorder.
-  Bus->unsubscribe(SubId);
-  Out.flush();
-}
-
-void TrafficRecorder::onBatch(const std::vector<Event> &Batch) {
-  MutexLock Lock(M);
-  for (const Event &E : Batch) {
-    if (E.Kind == EventKind::JobSubmitted) {
-      TrafficRecord R;
-      R.Job = E.A;
-      R.Fp = E.B;
-      R.ExFp = E.ExampleFp;
-      R.ArrivalNs = E.TimeNs;
-      R.Priority = int64_t(E.C);
-      R.DeadlineMs = E.D;
-      R.Prob = E.Prob;
-      Pending[R.Job] = std::move(R);
-    } else if (E.Kind == EventKind::JobStarted) {
-      if (Pending.count(E.A))
-        StartedNs[E.A] = E.TimeNs;
-    } else if (E.Kind == EventKind::JobCompleted) {
-      auto It = Pending.find(E.A);
-      if (It == Pending.end()) {
-        ++Orphans;
-        StartedNs.erase(E.A);
-        continue;
-      }
-      TrafficRecord R = std::move(It->second);
-      Pending.erase(It);
-      R.CompletedNs = E.TimeNs;
-      // Timing split from the event clock: jobs that never reached a
-      // worker (cache hits, queue-deadline expiries) spent their whole
-      // life queued and solved for 0 ms.
-      auto StartIt = StartedNs.find(E.A);
-      uint64_t StartNs = StartIt != StartedNs.end() ? StartIt->second : 0;
-      if (StartIt != StartedNs.end())
-        StartedNs.erase(StartIt);
-      uint64_t QueueEndNs = StartNs ? StartNs : E.TimeNs;
-      R.QueueMs = QueueEndNs > R.ArrivalNs
-                      ? double(QueueEndNs - R.ArrivalNs) / 1e6
-                      : 0;
-      R.SolveMs =
-          StartNs && E.TimeNs > StartNs ? double(E.TimeNs - StartNs) / 1e6 : 0;
-      R.Outcome = outcomeName(Outcome(E.C));
-      R.Source = resultSourceName(ResultSource(E.D));
-      if (E.Text)
-        R.Program = *E.Text;
-      Out << trafficRecordToLine(R) << '\n';
-      ++Written;
-    }
-  }
-}
-
-uint64_t TrafficRecorder::recordsWritten() const {
-  MutexLock Lock(M);
-  return Written;
-}
-
-uint64_t TrafficRecorder::pendingJobs() const {
-  MutexLock Lock(M);
-  return Pending.size();
-}
-
-uint64_t TrafficRecorder::orphanCompletions() const {
-  MutexLock Lock(M);
-  return Orphans;
+void morpheus::finishTrafficRecord(TrafficRecord &R, const Solution &S,
+                                   std::string_view Source, double QueueMs,
+                                   double SolveMs) {
+  R.QueueMs = QueueMs;
+  R.SolveMs = SolveMs;
+  double ElapsedMs = std::max(QueueMs, 0.0) + std::max(SolveMs, 0.0);
+  R.CompletedNs = R.ArrivalNs + uint64_t(std::llround(ElapsedMs * 1e6));
+  R.Outcome = outcomeName(S.Result);
+  R.Source = Source;
+  R.Program = S.Program ? printSexp(S.Program) : std::string();
 }

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The traffic-recording subscriber and its log format: one JSON object
-/// per line (JSON-lines) per *completed* job, carrying everything needed
-/// to re-drive the job against a fresh SynthService (bus/Replay.h):
+/// The replayable traffic log: one JSON object per line (JSON-lines) per
+/// served job, carrying everything needed to re-drive the job against a
+/// fresh SynthService (bus/Replay.h):
 ///
 ///   {"v": 1, "job": 3, "fp": "0x9c…", "exfp": "0x4a…",
 ///    "arrival_ns": 18200, "completed_ns": 905000,
@@ -17,50 +17,57 @@
 ///    "problem": { …ProblemIO schema… }}
 ///
 /// Fingerprints are hex strings (the JSON number type is a double and
-/// cannot hold 64 bits). arrival/completed are Event::TimeNs — nanoseconds
-/// on the recording bus's clock — so replay derives inter-arrival gaps
-/// from them; absolute values are meaningless across runs.
+/// cannot hold 64 bits). arrival_ns is the front door's submission time
+/// on a clock shared by the whole recording, so replay derives
+/// inter-arrival gaps from it; absolute values are meaningless across
+/// runs. completed_ns is arrival_ns plus the job's queue and solve time.
 ///
-/// The recorder keys on the JobSubmitted/JobCompleted pair: submissions
-/// are held pending (with their Problem snapshot) until their completion
-/// event arrives, then written as one line. Jobs still pending when the
-/// recorder is destroyed are counted, not written — pair a recorder with
-/// DropPolicy::Block and flush the bus after SynthService::drain() for a
-/// lossless capture.
+/// The front door records: it stamps each request with
+/// trafficArrival() as it submits it, completes the record with
+/// finishTrafficRecord() from the finished handle (a JobHandle, or a
+/// ClusterJob under `serve --cluster`) and writes trafficRecordToLine().
+/// `morpheus serve --record` writes lines in request order; replay sorts
+/// by arrival_ns, so any order is accepted.
 ///
 /// The parse half (parseTrafficRecord / readTrafficLog) is deliberately
 /// defensive — logs cross machine boundaries — and is fuzzed by
 /// tests/IoFuzzTest.cpp (truncation, duplicate keys, invalid UTF-8,
-/// byte mutations): malformed input yields an error message, never UB.
+/// byte mutations, out-of-range numbers): malformed input yields an error
+/// message, never UB.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MORPHEUS_BUS_TRAFFICRECORDER_H
 #define MORPHEUS_BUS_TRAFFICRECORDER_H
 
-#include "bus/EventBus.h"
-#include "support/Sync.h"
-
-#include <iosfwd>
+#include <chrono>
+#include <cstdint>
+#include <memory>
 #include <optional>
-#include <unordered_map>
+#include <string>
+#include <string_view>
+#include <vector>
 
 namespace morpheus {
 
+class EngineOptions;
+class JobRequest;
 struct Problem;
+struct Solution;
 
 /// One parsed log line: a served job, replayable.
 struct TrafficRecord {
   uint64_t Job = 0;         ///< submission-order id (unique per recording)
   uint64_t Fp = 0;          ///< problem fingerprint at record time
   uint64_t ExFp = 0;        ///< example fingerprint
-  uint64_t ArrivalNs = 0;   ///< JobSubmitted bus timestamp
-  uint64_t CompletedNs = 0; ///< JobCompleted bus timestamp
+  uint64_t ArrivalNs = 0;   ///< submission time (see file comment)
+  uint64_t CompletedNs = 0; ///< ArrivalNs + queue + solve
   int64_t Priority = 0;
   uint64_t DeadlineMs = 0; ///< 0 = no deadline
-  /// Scheduling latency split (from the JobStarted event): queue wait and
-  /// solve duration in milliseconds. Negative = not recorded — logs from
-  /// before these fields existed parse (and re-serialize) without them.
+  /// Scheduling latency split as the job's handle reports it: queue wait
+  /// and solve duration in milliseconds. Negative = not recorded — logs
+  /// from before these fields existed parse (and re-serialize) without
+  /// them.
   double QueueMs = -1;
   double SolveMs = -1;
   std::string Outcome;     ///< outcomeName() at record time
@@ -83,39 +90,25 @@ readTrafficLog(const std::string &Path, std::string *Err = nullptr);
 /// the exact inverse of parseTrafficRecord.
 std::string trafficRecordToLine(const TrafficRecord &R);
 
-/// The subscriber. Writes to \p Out from the bus drain thread; the caller
-/// keeps \p Out alive and must not write to it concurrently.
-class TrafficRecorder {
-public:
-  TrafficRecorder(std::shared_ptr<EventBus> Bus, std::ostream &Out);
-  ~TrafficRecorder();
+/// The submission half of a record, stamped by a front door as it submits
+/// \p P under \p R: \p Job (unique per recording, increasing in
+/// submission order), the arrival time (nanoseconds from \p Epoch, the
+/// recording's start, to now), the problem and example fingerprints under
+/// \p Opts (the serving engine's options), priority, deadline and a
+/// snapshot of \p P (cheap: tables share their columns).
+TrafficRecord trafficArrival(uint64_t Job,
+                             std::chrono::steady_clock::time_point Epoch,
+                             const Problem &P, const EngineOptions &Opts,
+                             const JobRequest &R);
 
-  TrafficRecorder(const TrafficRecorder &) = delete;
-  TrafficRecorder &operator=(const TrafficRecorder &) = delete;
-
-  /// Completed jobs written out so far.
-  uint64_t recordsWritten() const;
-  /// Submissions seen whose completion has not yet arrived.
-  uint64_t pendingJobs() const;
-  /// Completions whose submission event was never seen (dropped by the
-  /// bus, or the recorder attached mid-traffic); not written.
-  uint64_t orphanCompletions() const;
-
-private:
-  void onBatch(const std::vector<Event> &Batch);
-
-  std::shared_ptr<EventBus> Bus;
-  std::ostream &Out;
-  uint64_t SubId = 0;
-
-  mutable Mutex M;
-  /// Job id -> the half-record started by its JobSubmitted event.
-  std::unordered_map<uint64_t, TrafficRecord> Pending GUARDED_BY(M);
-  /// Job id -> JobStarted bus timestamp (jobs that reached a worker).
-  std::unordered_map<uint64_t, uint64_t> StartedNs GUARDED_BY(M);
-  uint64_t Written GUARDED_BY(M) = 0;
-  uint64_t Orphans GUARDED_BY(M) = 0;
-};
+/// Completes \p R from its finished job: outcome and program from \p S,
+/// \p Source (a resultSourceName, or a coordinator verdict such as
+/// "deadline"), and the handle's queue/solve split in milliseconds
+/// (negative = unknown; that field is left out of the line and counts as 0
+/// in CompletedNs = ArrivalNs + queue + solve).
+void finishTrafficRecord(TrafficRecord &R, const Solution &S,
+                         std::string_view Source, double QueueMs,
+                         double SolveMs);
 
 } // namespace morpheus
 

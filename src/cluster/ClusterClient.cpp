@@ -6,7 +6,6 @@
 
 #include "cluster/ClusterClient.h"
 
-#include "bus/EventBus.h"
 #include "cluster/Handshake.h"
 #include "io/Json.h"
 #include "io/ProblemIO.h"
@@ -25,10 +24,6 @@ namespace {
 /// the submission (the local service drains continuously; the retry is a
 /// poll, not a backoff ladder).
 constexpr int LocalRetryMs = 50;
-/// Period of the local-completion sweep, the backstop behind the bus
-/// pump. It only ever matters if a JobCompleted event is lost, which the
-/// Block-policy bus excludes — the sweep is insurance, so it can be slow.
-constexpr int SweepIntervalMs = 500;
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -165,12 +160,6 @@ ClusterClient::ClusterClient(ComponentLibrary LibIn, EngineOptions EOptsIn,
     : Lib(std::move(LibIn)), EOpts(std::move(EOptsIn)),
       COpts(std::move(COptsIn)),
       Ring(unsigned(COpts.Workers.size()), COpts.VirtualNodes) {
-  if (!EOpts.eventBus()) {
-    EventBus::Options BusOpts;
-    BusOpts.Policy = DropPolicy::Block; // the pump must not lose completions
-    EOpts.eventBus(EventBus::create(BusOpts));
-  }
-  Bus = EOpts.eventBus();
   OptionsDigest = clusterOptionsDigest(EOpts);
   CompatKey = warmStateCompatKey(Lib, EOpts.config());
   Eng = std::make_unique<Engine>(Lib, EOpts);
@@ -178,33 +167,6 @@ ClusterClient::ClusterClient(ComponentLibrary LibIn, EngineOptions EOptsIn,
     MutexLock Lock(StatsM);
     Counters.PerWorkerForwarded.assign(COpts.Workers.size(), 0);
   }
-
-  // Subscribe before the local service exists: no completion can ever
-  // race the pump into existence (same discipline as WorkerNode).
-  Subscription S;
-  S.Name = "cluster-local-pump";
-  S.KindMask = eventKindBit(EventKind::JobCompleted);
-  S.OnBatch = [this](const std::vector<Event> &Batch) {
-    std::vector<uint64_t> Ids;
-    Ids.reserve(Batch.size());
-    for (const Event &E : Batch)
-      if (E.Kind == EventKind::JobCompleted)
-        Ids.push_back(E.A);
-    if (Ids.empty())
-      return;
-    Loop.post([this, Ids = std::move(Ids)] {
-      for (uint64_t Id : Ids) {
-        auto It = LocalToReq.find(Id);
-        if (It == LocalToReq.end())
-          continue; // not one of ours (or already answered)
-        auto JIt = Jobs.find(It->second);
-        if (JIt != Jobs.end())
-          completeFromLocal(*JIt->second);
-      }
-    });
-  };
-  SubId = Bus->subscribe(std::move(S));
-
   LocalSvc = std::make_unique<SynthService>(*Eng, SOpts);
 
   Links.reserve(COpts.Workers.size());
@@ -218,7 +180,6 @@ ClusterClient::ClusterClient(ComponentLibrary LibIn, EngineOptions EOptsIn,
   Loop.post([this] {
     for (auto &L : Links)
       connectLink(*L);
-    armSweep();
   });
   LoopThread = std::thread([this] { Loop.run(); });
 }
@@ -250,9 +211,9 @@ ClusterClient::~ClusterClient() {
     Loop.stop();
   });
   LoopThread.join();
-  // The pump holds `this`; kill it before members die. The local service
-  // is then destroyed by the member order (LocalSvc before Eng/Bus).
-  Bus->unsubscribe(SubId);
+  // The local service dies next (member order), before the loop its
+  // continuations post to; those posts land in a stopped loop and are
+  // dropped with it.
 }
 
 //===----------------------------------------------------------------------===//
@@ -441,17 +402,18 @@ void ClusterClient::submitLocal(RJob &J) {
     MutexLock Lock(StatsM);
     ++Counters.LocalSolves;
   }
-  LocalToReq[H->id()] = J.ReqId;
-  // Already done (cache hit completed during submit)? Its JobCompleted
-  // event may have been pumped before the LocalToReq entry existed —
-  // answer directly; completeFromLocal is idempotent via the Jobs erase.
-  if (H->status() == JobStatus::Done)
-    completeFromLocal(J);
+  // Answered on the loop thread, by request id: a job completed or
+  // cancelled meanwhile is gone from Jobs, and the post finds nothing.
+  H->onDone([this, Id = J.ReqId] {
+    Loop.post([this, Id] {
+      auto It = Jobs.find(Id);
+      if (It != Jobs.end())
+        completeFromLocal(*It->second);
+    });
+  });
 }
 
 void ClusterClient::completeFromLocal(RJob &J) {
-  if (!J.LocalHandle.valid() || J.LocalHandle.status() != JobStatus::Done)
-    return;
   Solution S = J.LocalHandle.get(); // Done: returns immediately
   std::string Source(resultSourceName(J.LocalHandle.source()));
   double QMs = J.LocalHandle.queueMs();
@@ -469,8 +431,6 @@ void ClusterClient::completeJob(RJob &J, Solution S, std::string Source,
     Loop.cancelTimer(J.LocalRetryTimer);
     J.LocalRetryTimer = 0;
   }
-  if (J.Local && J.LocalHandle.valid())
-    LocalToReq.erase(J.LocalHandle.id());
   detachFromLink(J);
   std::shared_ptr<ClusterJob::State> St = J.St;
   int Attempts = J.Attempts;
@@ -564,24 +524,6 @@ void ClusterClient::cancelReq(uint64_t ReqId) {
     ++Counters.Cancelled;
   }
   completeJob(*J, std::move(S), "cancelled", -1, -1, -1);
-}
-
-void ClusterClient::armSweep() {
-  SweepTimer = Loop.addTimer(SweepIntervalMs, [this] {
-    std::vector<uint64_t> DoneReqs;
-    for (auto &KV : Jobs) {
-      RJob &J = *KV.second;
-      if (J.Local && J.LocalHandle.valid() &&
-          J.LocalHandle.status() == JobStatus::Done)
-        DoneReqs.push_back(KV.first);
-    }
-    for (uint64_t R : DoneReqs) {
-      auto It = Jobs.find(R);
-      if (It != Jobs.end())
-        completeFromLocal(*It->second);
-    }
-    armSweep();
-  });
 }
 
 //===----------------------------------------------------------------------===//

@@ -119,8 +119,7 @@ class ClusterClient {
 public:
   /// The same (library, engine options, service options) a single-node
   /// server would use — the local fail-back service is built from them,
-  /// and the handshake digests are derived from them. When \p EOpts has
-  /// no event bus, a Block-policy bus is attached. Connections start
+  /// and the handshake digests are derived from them. Connections start
   /// immediately; jobs may be submitted before any link is up (they ride
   /// the backlog or solve locally per the routing rules above).
   ClusterClient(ComponentLibrary Lib, EngineOptions EOpts,
@@ -170,21 +169,20 @@ private:
   void cancelReq(uint64_t ReqId);
   /// Detaches \p J from whatever link holds it (outstanding or backlog).
   void detachFromLink(RJob &J);
-  /// Re-arms the periodic local-completion sweep (bus-pump backstop).
-  void armSweep();
 
   ComponentLibrary Lib; ///< for parsing remote program s-expressions
-  std::shared_ptr<EventBus> Bus;
-  uint64_t SubId = 0;
-  std::unique_ptr<Engine> Eng;
-  std::unique_ptr<SynthService> LocalSvc;
   EngineOptions EOpts;
   ClusterOptions COpts;
   uint64_t OptionsDigest = 0;
   uint64_t CompatKey = 0;
   HashRing Ring;
 
+  /// Declared before the local service: members die in reverse order, and
+  /// the service's destructor runs the onDone continuations of its pending
+  /// jobs, which post() to this loop.
   EventLoop Loop;
+  std::unique_ptr<Engine> Eng;
+  std::unique_ptr<SynthService> LocalSvc;
   std::thread LoopThread;
   std::atomic<uint64_t> NextReqId{1};
   std::atomic<bool> ShuttingDown{false};
@@ -192,8 +190,6 @@ private:
   // Loop-thread-confined link and job tables.
   std::vector<std::unique_ptr<Link>> Links;
   std::unordered_map<uint64_t, std::shared_ptr<RJob>> Jobs; ///< by req id
-  std::unordered_map<uint64_t, uint64_t> LocalToReq; ///< local job id -> req
-  uint64_t SweepTimer = 0;
 
   mutable Mutex StatsM;
   mutable CondVar StatsChanged; ///< waitForWorkers sleeps here

@@ -43,10 +43,12 @@ ServeRequest parseServeRequest(std::string_view Line, uint64_t LineNo) {
   if (const JsonValue *Prio = Doc->find("priority");
       Prio && Prio->isNumber() && std::isfinite(Prio->Num))
     Req.Priority = int(std::min(1e6, std::max(-1e6, Prio->Num)));
+  // A positive deadline below 1 ms rounds up to 1 ms: truncating it to 0
+  // would read as "no deadline" (ClusterClient::sendSolve does the same).
   if (const JsonValue *Dl = Doc->find("deadline_ms");
       Dl && Dl->isNumber() && std::isfinite(Dl->Num) && Dl->Num > 0)
     Req.Deadline = std::chrono::milliseconds(
-        long(std::min(Dl->Num, 86400000.0))); // cap at one day
+        std::max(1L, long(std::min(Dl->Num, 86400000.0)))); // cap: one day
 
   Req.Prob = std::move(P);
   return Req;

@@ -13,8 +13,9 @@
 /// Request (one JSON object per line):
 ///   {"id": any, "problem": {...}, "priority": n, "deadline_ms": n}
 /// or a bare problem object. "id" defaults to the 1-based line number.
-/// priority is clamped to ±1e6, deadline_ms capped at one day — these are
-/// untrusted client numbers.
+/// priority is clamped to ±1e6, deadline_ms capped at one day and a
+/// positive deadline_ms below 1 rounded up to 1 — these are untrusted
+/// client numbers.
 ///
 /// Response (one JSON object per line):
 ///   {"id", "name", "outcome", "source", "seconds",

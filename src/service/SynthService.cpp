@@ -15,14 +15,16 @@
 //    JobHandle methods either take only the state mutex (status/get) or
 //    release it before calling into the service (cancel).
 //  - M is never held across Engine::solve; the only work done under it is
-//    O(queue) bookkeeping.
+//    O(queue) bookkeeping;
+//  - onDone continuations never run under M (nor under the JobState
+//    mutex): complete() moves them out while M is held, and every site
+//    that completes handles runs them after releasing M. They may
+//    therefore call back into the service (stats(), submit(), cancel()).
 //
 //===----------------------------------------------------------------------===//
 
 #include "service/SynthService.h"
 
-#include "bus/EventBus.h"
-#include "io/ProgramIO.h"
 #include "service/Fingerprint.h"
 #include "spec/Abstraction.h"
 
@@ -60,12 +62,9 @@ struct JobHandle::JobState {
   JobStatus Status GUARDED_BY(M) = JobStatus::Queued;
   ResultSource Source GUARDED_BY(M) = ResultSource::Solve;
   Solution Result GUARDED_BY(M);
+  /// onDone continuations registered before Done; complete() takes them.
+  std::vector<std::function<void()>> OnDone GUARDED_BY(M);
   uint64_t Fp = 0;
-  /// Bus identity, immutable after submit: the per-submission job id and
-  /// the example fingerprint events are scoped to. Both zero when the
-  /// service has no bus attached.
-  uint64_t Id = 0;
-  uint64_t ExFp = 0;
   /// Timing for queueMs()/solveMs(): SubmitTime is immutable after
   /// submit; StartTime is set (with Started) at the Queued→Running
   /// transition and DoneTime at completion, both under M.
@@ -81,8 +80,6 @@ struct JobHandle::JobState {
 };
 
 uint64_t JobHandle::fingerprint() const { return State ? State->Fp : 0; }
-
-uint64_t JobHandle::id() const { return State ? State->Id : 0; }
 
 double JobHandle::queueMs() const {
   assert(State && "queueMs() on an invalid handle");
@@ -144,6 +141,18 @@ void JobHandle::cancel() const {
   State->Svc->cancelJob(State);
 }
 
+void JobHandle::onDone(std::function<void()> Fn) const {
+  assert(State && "onDone() on an invalid handle");
+  {
+    MutexLock Lock(State->M);
+    if (State->Status != JobStatus::Done) {
+      State->OnDone.push_back(std::move(Fn));
+      return;
+    }
+  }
+  Fn();
+}
+
 //===----------------------------------------------------------------------===//
 // Scheduler
 //===----------------------------------------------------------------------===//
@@ -182,6 +191,14 @@ Solution cancelledSolution() {
   return S;
 }
 
+/// Runs (and empties) continuations collected under the service mutex;
+/// callers have released it.
+void runAll(std::vector<std::function<void()>> &Fns) {
+  for (std::function<void()> &Fn : Fns)
+    Fn();
+  Fns.clear();
+}
+
 } // namespace
 
 std::optional<std::chrono::steady_clock::time_point> SynthService::neededDeadline(
@@ -197,8 +214,7 @@ std::optional<std::chrono::steady_clock::time_point> SynthService::neededDeadlin
 }
 
 SynthService::SynthService(Engine Eng, ServiceOptions Opts)
-    : Eng(std::move(Eng)), Opts(Opts),
-      Bus(this->Eng.options().config().Bus.get()), Cache(Opts.cacheCapacity()) {
+    : Eng(std::move(Eng)), Opts(Opts), Cache(Opts.cacheCapacity()) {
   // Restore before any worker exists: the warm stores must be fully
   // populated before the first submission can probe them.
   if (!this->Eng.options().stateDir().empty()) {
@@ -222,6 +238,7 @@ SynthService::SynthService(Engine Eng, ServiceOptions Opts)
 }
 
 SynthService::~SynthService() {
+  Continuations Ready;
   {
     MutexLock Lock(M);
     ShuttingDown = true;
@@ -230,7 +247,8 @@ SynthService::~SynthService() {
       Inflight.erase(W->Fp);
       for (const std::shared_ptr<JobHandle::JobState> &St : W->Waiters) {
         St->Job.reset();
-        if (complete(St, cancelledSolution(), ResultSource::QueueCancelled))
+        if (complete(St, cancelledSolution(), ResultSource::QueueCancelled,
+                     Ready))
           ++Counters.QueueCancelled;
       }
       W->Waiters.clear();
@@ -241,6 +259,7 @@ SynthService::~SynthService() {
     for (const std::shared_ptr<Work> &W : RunningWorks)
       W->Token.requestStop();
   }
+  runAll(Ready);
   WorkAvailable.notify_all();
   SpaceAvailable.notify_all();
   DeadlineChanged.notify_all();
@@ -281,26 +300,14 @@ JobHandle SynthService::submitImpl(Problem P, const JobRequest &R,
   if (R.deadline().count() > 0)
     State->Deadline = SubmitTime + R.deadline();
 
-  // Bus identity and the submission event, before the lock: the problem
-  // snapshot copy is cheap (tables share columns), and the recorder sees
-  // every submission — including ones served from cache or refused below —
-  // so a replay re-drives the exact traffic, not just the solves.
-  if (Bus) {
-    State->Id = NextJobId.fetch_add(1, std::memory_order_relaxed);
-    State->ExFp = exampleFingerprint(P.Inputs, P.Output);
-    if (Bus->wants(EventKind::JobSubmitted)) {
-      Event E(EventKind::JobSubmitted, State->ExFp, State->Id, Fp,
-              uint64_t(int64_t(R.priority())),
-              uint64_t(R.deadline().count()));
-      E.Prob = std::make_shared<const Problem>(P);
-      Bus->publish(std::move(E));
-    }
-  }
-
+  // Nobody holds this handle yet, so it has no continuation to collect:
+  // completions inside submit leave Unused empty.
+  Continuations Unused;
   UniqueLock Lock(M);
   for (;;) {
     if (ShuttingDown) {
-      if (complete(State, cancelledSolution(), ResultSource::QueueCancelled))
+      if (complete(State, cancelledSolution(), ResultSource::QueueCancelled,
+                   Unused))
         ++Counters.QueueCancelled;
       ++Counters.Submitted;
       return JobHandle(std::move(State));
@@ -313,7 +320,7 @@ JobHandle SynthService::submitImpl(Problem P, const JobRequest &R,
       // Seconds reports this handle's latency, and a hit costs nothing;
       // the original solve's cost lives in the cached Stats.
       Hit->Seconds = 0;
-      complete(State, std::move(*Hit), ResultSource::CacheHit);
+      complete(State, std::move(*Hit), ResultSource::CacheHit, Unused);
       ++Counters.Submitted;
       return JobHandle(std::move(State));
     }
@@ -347,9 +354,6 @@ JobHandle SynthService::submitImpl(Problem P, const JobRequest &R,
           // This handle never waited: its solve was already underway.
           State->StartTime = SubmitTime;
         }
-        if (Bus && Bus->wants(EventKind::JobStarted))
-          Bus->publish(
-              Event(EventKind::JobStarted, State->ExFp, State->Id, Fp));
         if (State->Deadline)
           DeadlineChanged.notify_one();
       } else {
@@ -387,7 +391,7 @@ JobHandle SynthService::submitImpl(Problem P, const JobRequest &R,
       if (!SpaceAvailable.wait_until(Lock, *State->Deadline, SlotFree)) {
         Solution S;
         S.Result = Outcome::Timeout;
-        if (complete(State, std::move(S), ResultSource::QueueDeadline))
+        if (complete(State, std::move(S), ResultSource::QueueDeadline, Unused))
           ++Counters.QueueDeadlineExpired;
         ++Counters.Submitted;
         return JobHandle(std::move(State));
@@ -421,8 +425,17 @@ JobHandle SynthService::submitImpl(Problem P, const JobRequest &R,
 }
 
 void SynthService::workerLoop() {
+  // Continuations of handles this worker completed; run at the top of the
+  // next iteration (each iteration ends with its work fully settled) or
+  // as the lock drops for a solve.
+  Continuations Ready;
   UniqueLock Lock(M);
   for (;;) {
+    if (!Ready.empty()) {
+      Lock.unlock();
+      runAll(Ready);
+      Lock.lock();
+    }
     WorkAvailable.wait(Lock, [&]() NO_THREAD_SAFETY_ANALYSIS {
       return ShuttingDown || !Queue.empty();
     });
@@ -439,7 +452,7 @@ void SynthService::workerLoop() {
     // Backstop shed (the reaper normally fires first): anyone whose
     // deadline blew while queued completes as Timeout without the engine
     // ever running for it.
-    shedExpiredWaiters(*W);
+    shedExpiredWaiters(*W, Ready);
     if (W->Waiters.empty()) { // everyone expired: nothing left to solve
       unregisterInflight(W);
       SpaceAvailable.notify_all(); // drain() watches completions too
@@ -459,7 +472,7 @@ void SynthService::workerLoop() {
       W->Waiters.clear();
       for (const std::shared_ptr<JobHandle::JobState> &St : Waiters) {
         St->Job.reset();
-        complete(St, *Hit, ResultSource::CacheHit);
+        complete(St, *Hit, ResultSource::CacheHit, Ready);
       }
       SpaceAvailable.notify_all();
       continue;
@@ -477,8 +490,6 @@ void SynthService::workerLoop() {
         St->Started = true;
         St->StartTime = SolveStart;
       }
-      if (Bus && Bus->wants(EventKind::JobStarted))
-        Bus->publish(Event(EventKind::JobStarted, St->ExFp, St->Id, W->Fp));
     }
 
     // Captured once: the reaper may shed riders (it never touches a
@@ -487,6 +498,7 @@ void SynthService::workerLoop() {
     auto SolveClamp = W->Deadline;
     std::shared_ptr<RefutationStore> Refs = refutationScopeFor(W->Prob);
     Lock.unlock();
+    runAll(Ready);
     Solution S = Eng.solve(W->Prob, W->Token, SolveClamp, std::move(Refs));
     Lock.lock();
 
@@ -518,7 +530,7 @@ void SynthService::workerLoop() {
     W->Waiters.clear();
     for (const std::shared_ptr<JobHandle::JobState> &St : Waiters) {
       St->Job.reset();
-      complete(St, S, std::nullopt);
+      complete(St, S, std::nullopt, Ready);
     }
     SpaceAvailable.notify_all();
   }
@@ -628,12 +640,21 @@ SynthService::refutationScopeFor(const Problem &Prob) {
 }
 
 void SynthService::cancelJob(const std::shared_ptr<JobHandle::JobState> &State) {
-  MutexLock Lock(M);
+  Continuations Ready;
+  {
+    MutexLock Lock(M);
+    cancelLocked(State, Ready);
+  }
+  runAll(Ready);
+}
+
+void SynthService::cancelLocked(
+    const std::shared_ptr<JobHandle::JobState> &State, Continuations &Ready) {
   std::shared_ptr<Work> W = State->Job;
   if (!W) {
     // Completed (or completing) since the caller's check; complete() is a
     // no-op then.
-    complete(State, cancelledSolution(), std::nullopt);
+    complete(State, cancelledSolution(), std::nullopt, Ready);
     return;
   }
   State->Job.reset();
@@ -653,7 +674,7 @@ void SynthService::cancelJob(const std::shared_ptr<JobHandle::JobState> &State) 
       W->Token.requestStop();
       unregisterInflight(W);
     }
-    complete(State, cancelledSolution(), std::nullopt);
+    complete(State, cancelledSolution(), std::nullopt, Ready);
     return;
   }
   if (W->Waiters.empty()) {
@@ -668,16 +689,14 @@ void SynthService::cancelJob(const std::shared_ptr<JobHandle::JobState> &State) 
     Inflight.erase(W->Fp);
     SpaceAvailable.notify_all();
   }
-  if (complete(State, cancelledSolution(), ResultSource::QueueCancelled))
+  if (complete(State, cancelledSolution(), ResultSource::QueueCancelled, Ready))
     ++Counters.QueueCancelled;
 }
 
 bool SynthService::complete(const std::shared_ptr<JobHandle::JobState> &State,
                             Solution S,
-                            std::optional<ResultSource> OverrideSource) {
-  Outcome Res = S.Result;
-  ResultSource Src;
-  HypPtr Prog;
+                            std::optional<ResultSource> OverrideSource,
+                            Continuations &Ready) {
   {
     MutexLock Lock(State->M);
     if (State->Status == JobStatus::Done)
@@ -686,25 +705,20 @@ bool SynthService::complete(const std::shared_ptr<JobHandle::JobState> &State,
     State->DoneTime = std::chrono::steady_clock::now();
     if (OverrideSource)
       State->Source = *OverrideSource;
-    Src = State->Source;
     State->Result = std::move(S);
-    Prog = State->Result.Program;
+    // Taken in the same critical section that sets Done: a concurrent
+    // onDone() either lands in this list or sees Done and runs inline —
+    // every continuation runs exactly once.
+    for (std::function<void()> &Fn : State->OnDone)
+      Ready.push_back(std::move(Fn));
+    State->OnDone.clear();
   }
   ++Counters.Completed;
   State->CV.notify_all();
-  // Every handle completes through here exactly once (the Done check
-  // above), so JobCompleted is the recorder's one outcome record per job.
-  if (Bus && Bus->wants(EventKind::JobCompleted)) {
-    Event E(EventKind::JobCompleted, State->ExFp, State->Id, State->Fp,
-            uint64_t(Res), uint64_t(Src));
-    if (Prog)
-      E.Text = std::make_shared<const std::string>(printSexp(Prog));
-    Bus->publish(std::move(E));
-  }
   return true;
 }
 
-void SynthService::shedExpiredWaiters(Work &W) {
+void SynthService::shedExpiredWaiters(Work &W, Continuations &Ready) {
   auto Now = std::chrono::steady_clock::now();
   bool AnyExpired = false;
   for (const std::shared_ptr<JobHandle::JobState> &St : W.Waiters)
@@ -718,7 +732,8 @@ void SynthService::shedExpiredWaiters(Work &W) {
       if (complete(St, std::move(S),
                    W.Running ? std::nullopt
                              : std::optional<ResultSource>(
-                                   ResultSource::QueueDeadline))) {
+                                   ResultSource::QueueDeadline),
+                   Ready)) {
         if (W.Running)
           ++Counters.RiderDeadlineExpired;
         else
@@ -748,6 +763,7 @@ void SynthService::unregisterInflight(const std::shared_ptr<Work> &W) {
 }
 
 void SynthService::reaperLoop() {
+  Continuations Ready;
   UniqueLock Lock(M);
   while (!ShuttingDown) {
     // Earliest deadline across every live job — queued or riding a
@@ -784,7 +800,7 @@ void SynthService::reaperLoop() {
     EachLive([&](const std::shared_ptr<Work> &W) { Live.push_back(W); });
     bool Removed = false;
     for (const std::shared_ptr<Work> &W : Live) {
-      shedExpiredWaiters(*W);
+      shedExpiredWaiters(*W, Ready);
       if (!W->Waiters.empty())
         continue;
       if (W->Running) {
@@ -803,6 +819,11 @@ void SynthService::reaperLoop() {
     if (Removed) {
       std::make_heap(Queue.begin(), Queue.end(), &SynthService::workLater);
       SpaceAvailable.notify_all();
+    }
+    if (!Ready.empty()) {
+      Lock.unlock();
+      runAll(Ready);
+      Lock.lock();
     }
   }
 }

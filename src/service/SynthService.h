@@ -42,10 +42,14 @@
 ///    queued or running attaches to it (source Coalesced) — N concurrent
 ///    identical requests cost one solve.
 ///
+/// Completion: a front door that must act when a job finishes (answer a
+/// socket, write a traffic record) registers JobHandle::onDone instead of
+/// polling or blocking a thread per job.
+///
 /// Thread safety: every public method of SynthService and JobHandle may be
 /// called from any thread. Internally one service mutex guards the
 /// scheduler state and a per-job mutex guards each result; the service
-/// mutex is never held while solving.
+/// mutex is never held while solving, nor while a continuation runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,8 +61,8 @@
 #include "service/WarmState.h"
 #include "support/Sync.h"
 
-#include <atomic>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <thread>
 
@@ -182,9 +186,6 @@ public:
 
   bool valid() const { return State != nullptr; }
   uint64_t fingerprint() const;
-  /// Bus job id (unique per submission, monotone in submit order); 0 when
-  /// the service has no event bus attached.
-  uint64_t id() const;
   JobStatus status() const;
   /// Meaningful once status() == Done.
   ResultSource source() const;
@@ -208,6 +209,15 @@ public:
   /// handles still depend on it (then only this handle is detached and
   /// cancelled). No-op on Done handles.
   void cancel() const;
+
+  /// Runs \p Fn exactly once, after the job is Done. On a Done handle \p Fn
+  /// runs inline on the caller; otherwise it runs on the thread that
+  /// completes the job (a service worker, the reaper, a cancelling thread
+  /// or the service destructor) once that thread has released the service
+  /// mutex, so \p Fn may call back into the service. Keep it short — post
+  /// to an event loop or signal a waiter: it delays that thread's next
+  /// job. Several continuations on one job run in registration order.
+  void onDone(std::function<void()> Fn) const;
 
 private:
   friend class SynthService;
@@ -246,6 +256,8 @@ public:
 private:
   friend class JobHandle;
   struct Work;
+  /// Continuations of jobs completed under M, run once M is released.
+  using Continuations = std::vector<std::function<void()>>;
 
   JobHandle submitImpl(Problem P, const JobRequest &R, bool Blocking);
   /// Heap order: highest priority first, FIFO within a priority class.
@@ -265,7 +277,7 @@ private:
   void reaperLoop();
   /// Completes (as QueueDeadline Timeout) every waiter of \p W whose own
   /// deadline has passed and recomputes the solve clamp.
-  void shedExpiredWaiters(Work &W) REQUIRES(M);
+  void shedExpiredWaiters(Work &W, Continuations &Ready) REQUIRES(M);
   /// Removes \p W's Inflight entry if it is still the registered one (a
   /// doomed work may have been replaced by a fresh identical submission).
   void unregisterInflight(const std::shared_ptr<Work> &W) REQUIRES(M);
@@ -290,21 +302,19 @@ private:
   uint64_t warmActivitySignal() EXCLUDES(M);
   void cancelJob(const std::shared_ptr<JobHandle::JobState> &State)
       EXCLUDES(M);
+  /// cancelJob's body; the continuations it completes land in \p Ready.
+  void cancelLocked(const std::shared_ptr<JobHandle::JobState> &State,
+                    Continuations &Ready) REQUIRES(M);
   /// Completes \p State (the per-job lock is taken inside: lock order is
-  /// always the service M before a JobState mutex). False when it already
-  /// was Done.
+  /// always the service M before a JobState mutex) and moves its onDone
+  /// continuations into \p Ready; the caller runs them after releasing M.
+  /// False when it already was Done.
   bool complete(const std::shared_ptr<JobHandle::JobState> &State, Solution S,
-                std::optional<ResultSource> OverrideSource) REQUIRES(M);
+                std::optional<ResultSource> OverrideSource,
+                Continuations &Ready) REQUIRES(M);
 
   const Engine Eng;
   const ServiceOptions Opts;
-  /// The engine config's event bus, cached as a raw pointer (Eng owns the
-  /// shared_ptr and outlives every use). Null when no bus is attached —
-  /// then every publish site is a single pointer test.
-  EventBus *Bus = nullptr;
-  /// Job ids for bus events: unique per submission, monotone in submit
-  /// order. Atomic so ids are assigned before the service lock is taken.
-  std::atomic<uint64_t> NextJobId{1};
   ResultCache Cache;
   /// The persistence tier; null when the engine has no state dir.
   std::unique_ptr<WarmState> Warm;

@@ -11,8 +11,7 @@
 /// draining, and concurrent publish stress tests that CI also runs under
 /// ThreadSanitizer (ctest -L tsan). What the bus *carries* is covered
 /// elsewhere: SynthesisTest re-sums the per-sketch events against
-/// Solution.Stats, ReplayRegressionTest drives the recorder/replay
-/// subscribers end to end.
+/// Solution.Stats.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,8 +62,8 @@ TEST(EventKinds, NamesAndBitsAreDistinct) {
 
 TEST(EventBusTest, NoSubscriberPublishIsSkippedNotEnqueued) {
   std::shared_ptr<EventBus> Bus = EventBus::create();
-  EXPECT_FALSE(Bus->wants(EventKind::JobCompleted));
-  EXPECT_FALSE(Bus->publish(Event(EventKind::JobCompleted, 0)));
+  EXPECT_FALSE(Bus->wants(EventKind::HoleFillBatch));
+  EXPECT_FALSE(Bus->publish(Event(EventKind::HoleFillBatch, 0)));
   BusStats S = Bus->stats();
   EXPECT_EQ(S.Published, 0u); // never touched the ring
   EXPECT_EQ(S.Skipped, 1u);
@@ -73,24 +72,24 @@ TEST(EventBusTest, NoSubscriberPublishIsSkippedNotEnqueued) {
 
 TEST(EventBusTest, KindMaskRoutesPerSubscriber) {
   std::shared_ptr<EventBus> Bus = EventBus::create();
-  Capture OnlyJobs, Everything;
-  Bus->subscribe(
-      OnlyJobs.subscription("jobs", eventKindBit(EventKind::JobSubmitted)));
+  Capture OnlySketches, Everything;
+  Bus->subscribe(OnlySketches.subscription(
+      "sketches", eventKindBit(EventKind::SketchGenerated)));
   Bus->subscribe(Everything.subscription("all"));
 
-  EXPECT_TRUE(Bus->wants(EventKind::JobSubmitted));
+  EXPECT_TRUE(Bus->wants(EventKind::SketchGenerated));
   // The "all" mask covers it.
-  EXPECT_TRUE(Bus->wants(EventKind::JobCompleted));
-  EXPECT_TRUE(Bus->publish(Event(EventKind::JobSubmitted, 1, 10)));
-  EXPECT_TRUE(Bus->publish(Event(EventKind::JobCompleted, 2, 20)));
+  EXPECT_TRUE(Bus->wants(EventKind::HoleFillBatch));
+  EXPECT_TRUE(Bus->publish(Event(EventKind::SketchGenerated, 1, 10)));
+  EXPECT_TRUE(Bus->publish(Event(EventKind::HoleFillBatch, 2, 20)));
   Bus->flush();
 
-  ASSERT_EQ(OnlyJobs.Events.size(), 1u);
-  EXPECT_EQ(OnlyJobs.Events[0].Kind, EventKind::JobSubmitted);
-  EXPECT_EQ(OnlyJobs.Events[0].A, 10u);
+  ASSERT_EQ(OnlySketches.Events.size(), 1u);
+  EXPECT_EQ(OnlySketches.Events[0].Kind, EventKind::SketchGenerated);
+  EXPECT_EQ(OnlySketches.Events[0].A, 10u);
   ASSERT_EQ(Everything.Events.size(), 2u);
-  EXPECT_EQ(Everything.Events[0].Kind, EventKind::JobSubmitted);
-  EXPECT_EQ(Everything.Events[1].Kind, EventKind::JobCompleted);
+  EXPECT_EQ(Everything.Events[0].Kind, EventKind::SketchGenerated);
+  EXPECT_EQ(Everything.Events[1].Kind, EventKind::HoleFillBatch);
   // Timestamps are stamped by publish in ring order.
   EXPECT_LE(Everything.Events[0].TimeNs, Everything.Events[1].TimeNs);
 }
@@ -149,16 +148,16 @@ TEST(EventBusTest, DropNewestRefusesAndCountsWhenRingIsFull) {
 
   // First event: popped (freeing its slot) and dispatched into the
   // parked callback.
-  EXPECT_TRUE(Bus->publish(Event(EventKind::JobCompleted, 1)));
+  EXPECT_TRUE(Bus->publish(Event(EventKind::HoleFillBatch, 1)));
   {
     std::unique_lock<std::mutex> Lock(M);
     CV.wait(Lock, [&] { return Started; });
   }
   // Drain thread is parked: fill all 4 slots, then overflow.
   for (int I = 0; I != 4; ++I)
-    EXPECT_TRUE(Bus->publish(Event(EventKind::JobCompleted, 2)));
+    EXPECT_TRUE(Bus->publish(Event(EventKind::HoleFillBatch, 2)));
   for (int I = 0; I != 3; ++I)
-    EXPECT_FALSE(Bus->publish(Event(EventKind::JobCompleted, 3)))
+    EXPECT_FALSE(Bus->publish(Event(EventKind::HoleFillBatch, 3)))
         << "publish into a full ring must refuse under DropNewest";
   EXPECT_EQ(Bus->stats().Dropped, 3u);
 
@@ -210,16 +209,16 @@ TEST(EventBusTest, UnsubscribeRecomputesTheActiveMask) {
   std::shared_ptr<EventBus> Bus = EventBus::create();
   Capture A, B;
   uint64_t IdA = Bus->subscribe(
-      A.subscription("a", eventKindBit(EventKind::JobSubmitted)));
-  Bus->subscribe(B.subscription("b", eventKindBit(EventKind::JobCompleted)));
+      A.subscription("a", eventKindBit(EventKind::SketchGenerated)));
+  Bus->subscribe(B.subscription("b", eventKindBit(EventKind::HoleFillBatch)));
 
-  EXPECT_TRUE(Bus->wants(EventKind::JobSubmitted));
+  EXPECT_TRUE(Bus->wants(EventKind::SketchGenerated));
   Bus->unsubscribe(IdA);
   // Only B's kinds remain active; A's kind short-circuits again.
-  EXPECT_FALSE(Bus->wants(EventKind::JobSubmitted));
-  EXPECT_TRUE(Bus->wants(EventKind::JobCompleted));
-  EXPECT_FALSE(Bus->publish(Event(EventKind::JobSubmitted, 1)));
-  EXPECT_TRUE(Bus->publish(Event(EventKind::JobCompleted, 1)));
+  EXPECT_FALSE(Bus->wants(EventKind::SketchGenerated));
+  EXPECT_TRUE(Bus->wants(EventKind::HoleFillBatch));
+  EXPECT_FALSE(Bus->publish(Event(EventKind::SketchGenerated, 1)));
+  EXPECT_TRUE(Bus->publish(Event(EventKind::HoleFillBatch, 1)));
   Bus->flush();
   EXPECT_EQ(A.Events.size(), 0u);
   EXPECT_EQ(B.Events.size(), 1u);
@@ -290,12 +289,12 @@ TEST(EventBusTest, SubscriptionChurnUnderTraffic) {
 
   std::thread Producer([&] {
     while (!Stop.load(std::memory_order_relaxed))
-      Bus->publish(Event(EventKind::JobCompleted, 1));
+      Bus->publish(Event(EventKind::HoleFillBatch, 1));
   });
   for (int Cycle = 0; Cycle != 100; ++Cycle) {
     Subscription S;
     S.Name = "churn";
-    S.KindMask = eventKindBit(EventKind::JobCompleted);
+    S.KindMask = eventKindBit(EventKind::HoleFillBatch);
     S.OnBatch = [&](const std::vector<Event> &Batch) {
       Seen.fetch_add(Batch.size(), std::memory_order_relaxed);
     };

@@ -14,6 +14,9 @@
 /// ProblemIO JSON and the programs through s-expressions on the way, so
 /// this is also the end-to-end serialization parity check.
 ///
+/// A recording test closes the record/replay loop through the cluster:
+/// traffic served by two workers replays single-node identically.
+///
 /// The scheduling tests cover the fault model: a worker killed mid-run
 /// loses no jobs (failover to the surviving shard or the local service),
 /// an incompatible worker is refused and routed around, in-flight caps
@@ -27,6 +30,7 @@
 
 #include "cluster/ClusterClient.h"
 
+#include "bus/Replay.h"
 #include "cluster/WorkerNode.h"
 #include "interp/Components.h"
 #include "io/ProgramIO.h"
@@ -362,6 +366,84 @@ TEST(ClusterScheduling, DeadlinePropagatesToRemoteSolves) {
       << "deadline did not propagate; remote solve ran unbounded";
   EXPECT_FALSE(bool(J.get()));
   W.stop();
+}
+
+//===----------------------------------------------------------------------===//
+// Recording through the cluster
+//===----------------------------------------------------------------------===//
+
+/// Filter + select over a three-row table (a real program, solved in tens
+/// of milliseconds); \p Tag shifts the data so tags fingerprint apart.
+Problem filterProblem(unsigned Tag) {
+  double O = double(Tag);
+  Table In = makeTable({{"id", CellType::Num},
+                        {"name", CellType::Str},
+                        {"age", CellType::Num}},
+                       {{num(1), str("Alice"), num(8 + O)},
+                        {num(2), str("Bob"), num(18 + O)},
+                        {num(3), str("Tom"), num(12 + O)}});
+  Table Out = makeTable({{"name", CellType::Str}, {"age", CellType::Num}},
+                        {{str("Bob"), num(18 + O)}, {str("Tom"), num(12 + O)}});
+  Problem P = Problem::fromTables({In}, Out);
+  P.Name = "filter" + std::to_string(Tag);
+  return P;
+}
+
+TEST(ClusterRecording, ClusterTrafficReplaysSingleNode) {
+  ComponentLibrary Lib = StandardComponents::get().tidyDplyr();
+  std::vector<std::unique_ptr<WorkerNode>> Workers;
+  ClusterOptions COpts;
+  for (int I = 0; I != 2; ++I) {
+    Workers.push_back(std::make_unique<WorkerNode>(
+        Lib, parityOptions(), ServiceOptions().workers(1)));
+    std::string Err;
+    ASSERT_TRUE(Workers.back()->start(&Err)) << Err;
+    COpts.Workers.push_back({"127.0.0.1", Workers.back()->port()});
+  }
+
+  // Record the way `serve --cluster --record` does: stamp each request at
+  // submission, complete the record from the finished ClusterJob.
+  std::vector<std::string> Lines;
+  {
+    ClusterClient C(Lib, parityOptions(), ServiceOptions().workers(1), COpts);
+    ASSERT_TRUE(C.waitForWorkers(2, std::chrono::seconds(10)));
+    std::vector<Problem> Probs = identityProblems(2);
+    for (unsigned Tag : {1u, 2u, 1u}) // one repeat
+      Probs.push_back(filterProblem(Tag));
+    const auto Epoch = std::chrono::steady_clock::now();
+    std::vector<std::pair<TrafficRecord, ClusterJob>> Jobs;
+    for (Problem &P : Probs) {
+      JobRequest R;
+      TrafficRecord Rec =
+          trafficArrival(Jobs.size() + 1, Epoch, P, parityOptions(), R);
+      Jobs.emplace_back(std::move(Rec), C.submit(std::move(P), R));
+    }
+    for (auto &[Rec, J] : Jobs) {
+      ASSERT_TRUE(J.waitFor(std::chrono::seconds(120)));
+      EXPECT_GE(J.worker(), 0) << "a shard, not the fail-back, answered";
+      finishTrafficRecord(Rec, J.get(), J.source(), J.queueMs(), J.solveMs());
+      Lines.push_back(trafficRecordToLine(Rec));
+    }
+  }
+  for (auto &W : Workers)
+    W->stop();
+
+  std::vector<TrafficRecord> Records;
+  for (const std::string &Line : Lines) {
+    std::string Err;
+    std::optional<TrafficRecord> R = parseTrafficRecord(Line, &Err);
+    ASSERT_TRUE(R) << Err;
+    EXPECT_EQ(R->Outcome, "solved");
+    EXPECT_FALSE(R->Program.empty());
+    Records.push_back(std::move(*R));
+  }
+  ASSERT_EQ(Records.size(), 5u);
+
+  SynthService Single(Engine(Lib, parityOptions()), ServiceOptions());
+  ReplayReport Report = replayTraffic(Records, Single);
+  EXPECT_TRUE(Report.ok()) << Report.Diffs.size() << " divergence(s)";
+  EXPECT_EQ(Report.OutcomeMatches, Records.size());
+  EXPECT_EQ(Report.ProgramMatches, Records.size());
 }
 
 } // namespace

@@ -24,6 +24,7 @@
 #include "io/Json.h"
 #include "io/ProblemIO.h"
 #include "io/TableIO.h"
+#include "net/Protocol.h"
 #include "service/Fingerprint.h"
 
 #include <gtest/gtest.h>
@@ -461,6 +462,55 @@ TEST(TrafficFuzz, SchemaViolationsAreRejectedWithMessages) {
   }
 }
 
+/// Regression: numeric fields were cast double -> integer unchecked, so
+/// "job": 1e999 (parsed as inf) or "priority": 1e30 was undefined
+/// behaviour. Non-finite, fractional and out-of-range numbers must be
+/// rejected with a message; whole in-range values still parse.
+TEST(TrafficFuzz, NonIntegralAndOutOfRangeNumbersAreRejected) {
+  std::string Seed = validTrafficLine();
+  auto Patched = [&](const std::string &From, const std::string &To) {
+    std::string L = Seed;
+    size_t At = L.find(From);
+    EXPECT_NE(At, std::string::npos) << From;
+    L.replace(At, From.size(), To);
+    return L;
+  };
+  for (const char *Bad : {"1e999", "-1e999", "1e30", "18446744073709551616",
+                          "-1", "2.5", "1e-3"}) {
+    std::string Err;
+    EXPECT_FALSE(
+        parseTrafficRecord(Patched("\"job\":3", "\"job\":" + std::string(Bad)),
+                           &Err))
+        << "job " << Bad;
+    EXPECT_FALSE(Err.empty());
+    Err.clear();
+    EXPECT_FALSE(parseTrafficRecord(
+        Patched("\"deadline_ms\":1500", "\"deadline_ms\":" + std::string(Bad)),
+        &Err))
+        << "deadline_ms " << Bad;
+    EXPECT_FALSE(Err.empty());
+  }
+  for (const char *Bad : {"1e999", "-1e999", "1e30", "-1e30", "0.5",
+                          "9223372036854775808"}) {
+    std::string Err;
+    EXPECT_FALSE(parseTrafficRecord(
+        Patched("\"priority\":-2", "\"priority\":" + std::string(Bad)),
+        &Err))
+        << "priority " << Bad;
+    EXPECT_FALSE(Err.empty());
+  }
+
+  std::string Err;
+  std::optional<TrafficRecord> R = parseTrafficRecord(
+      Patched("\"job\":3", "\"job\":9007199254740992"), &Err);
+  ASSERT_TRUE(R) << Err;
+  EXPECT_EQ(R->Job, 9007199254740992u); // 2^53: whole, in range
+  R = parseTrafficRecord(
+      Patched("\"priority\":-2", "\"priority\":-9223372036854775808"), &Err);
+  ASSERT_TRUE(R) << Err;
+  EXPECT_EQ(R->Priority, INT64_MIN);
+}
+
 TEST(TrafficFuzz, DeterministicMutationSweepNeverCrashes) {
   // The same LCG-driven single-byte mutation harness the problem pipeline
   // gets, aimed at the record parser. Only invariant: no crash, every
@@ -498,6 +548,34 @@ TEST(TrafficFuzz, DeterministicMutationSweepNeverCrashes) {
   // parses; a structural break does not.
   EXPECT_GT(Survived, 0);
   EXPECT_LT(Survived, 2000);
+}
+
+//===----------------------------------------------------------------------===//
+// Serve request numbers (net/Protocol.h)
+//===----------------------------------------------------------------------===//
+
+/// Regression: a positive deadline_ms below 1 truncated to 0 ms, which
+/// means "no deadline" — the most urgent request became the most patient.
+/// It rounds up to 1 ms; zero, negative and non-numeric mean none.
+TEST(ServeFuzz, SubMillisecondDeadlineRoundsUpToOneMillisecond) {
+  auto DeadlineOf = [](const std::string &Value) {
+    ServeRequest R = parseServeRequest(std::string("{\"problem\":") +
+                                           ValidProblemDoc +
+                                           ",\"deadline_ms\":" + Value + "}",
+                                       1);
+    EXPECT_TRUE(R.Error.empty()) << R.Error;
+    return R.Deadline.count();
+  };
+  EXPECT_EQ(DeadlineOf("0.5"), 1);
+  EXPECT_EQ(DeadlineOf("1e-300"), 1);
+  EXPECT_EQ(DeadlineOf("0.999"), 1);
+  EXPECT_EQ(DeadlineOf("1.5"), 1);
+  EXPECT_EQ(DeadlineOf("250"), 250);
+  EXPECT_EQ(DeadlineOf("1e999"), 0); // non-finite: ignored, as before
+  EXPECT_EQ(DeadlineOf("1e12"), 86400000); // capped at one day
+  EXPECT_EQ(DeadlineOf("0"), 0);
+  EXPECT_EQ(DeadlineOf("-3"), 0);
+  EXPECT_EQ(DeadlineOf("\"soon\""), 0);
 }
 
 } // namespace

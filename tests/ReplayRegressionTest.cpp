@@ -18,9 +18,9 @@
 ///    catch. Regenerate the capture ONLY for an intentional change:
 ///        build/morpheus serve --record tests/traffic/smoke.jsonl \
 ///            < <(requests)   # see tools/replay.sh
-///  - a live in-process round trip (record fresh traffic over the bus,
-///    replay it immediately) proves the loop is closed without depending
-///    on any checked-in bytes;
+///  - a live in-process round trip (record fresh traffic from finished
+///    handles, replay it immediately) proves the loop is closed without
+///    depending on any checked-in bytes;
 ///  - tampered records must be *detected* — a replay harness that cannot
 ///    fail would gate nothing.
 ///
@@ -114,32 +114,35 @@ TEST(ReplayRegression, RecordedTimingAlsoReproduces) {
 }
 
 TEST(ReplayRegression, LiveRecordRoundTripReproduces) {
-  // Record: a lossless bus feeding a recorder while a service serves
-  // four jobs, one of them a repeat (a cache hit in the recording).
+  // Record: a service serves four jobs, one of them a repeat (a cache hit
+  // in the recording). Each line is built the way `serve --record` builds
+  // it: stamped at submission, completed from the finished handle.
+  const EngineOptions Opts = serveDefaultOptions();
   std::ostringstream Captured;
   {
-    EventBus::Options BusOpts;
-    BusOpts.Policy = DropPolicy::Block;
-    std::shared_ptr<EventBus> Bus = EventBus::create(BusOpts);
-    TrafficRecorder Recorder(Bus, Captured);
+    SynthService Svc(Engine::standard(Opts), ServiceOptions().workers(2));
+    const auto Epoch = std::chrono::steady_clock::now();
+    std::vector<std::pair<TrafficRecord, JobHandle>> Jobs;
+    auto Submit = [&](Problem P) {
+      JobRequest R;
+      TrafficRecord Rec = trafficArrival(Jobs.size() + 1, Epoch, P, Opts, R);
+      Jobs.emplace_back(std::move(Rec), Svc.submit(std::move(P), R));
+    };
+    for (unsigned Tag : {1u, 2u, 3u})
+      Submit(fastProblem(Tag));
+    for (auto &Job : Jobs)
+      EXPECT_EQ(Job.second.get().Result, Outcome::Solved);
+    Submit(fastProblem(1));
+    EXPECT_EQ(Jobs.back().second.get().Result, Outcome::Solved);
+    EXPECT_EQ(Jobs.back().second.source(), ResultSource::CacheHit);
 
-    Engine E = Engine::standard(serveDefaultOptions().eventBus(Bus));
-    {
-      SynthService Svc(E, ServiceOptions().workers(2));
-      std::vector<JobHandle> Handles;
-      for (unsigned Tag : {1u, 2u, 3u})
-        Handles.push_back(Svc.submit(fastProblem(Tag)));
-      for (JobHandle &H : Handles)
-        EXPECT_EQ(H.get().Result, Outcome::Solved);
-      JobHandle Repeat = Svc.submit(fastProblem(1));
-      EXPECT_EQ(Repeat.get().Result, Outcome::Solved);
-      Svc.drain();
+    for (auto &[Rec, H] : Jobs) {
+      finishTrafficRecord(Rec, H.get(), resultSourceName(H.source()),
+                          H.queueMs(), H.solveMs());
+      EXPECT_GE(Rec.CompletedNs, Rec.ArrivalNs);
+      Captured << trafficRecordToLine(Rec) << '\n';
     }
-    Bus->flush();
-    EXPECT_EQ(Recorder.recordsWritten(), 4u);
-    EXPECT_EQ(Recorder.pendingJobs(), 0u);
-    EXPECT_EQ(Recorder.orphanCompletions(), 0u);
-  } // ~TrafficRecorder flushes the stream
+  }
 
   // Parse the capture back.
   std::vector<TrafficRecord> Records;
@@ -152,7 +155,7 @@ TEST(ReplayRegression, LiveRecordRoundTripReproduces) {
   }
   ASSERT_EQ(Records.size(), 4u);
 
-  // Replay against a fresh, bus-free service: everything reproduces.
+  // Replay against a fresh service: everything reproduces.
   Engine Fresh = Engine::standard(serveDefaultOptions());
   SynthService Svc(Fresh, ServiceOptions().workers(2));
   ReplayReport Report = replayTraffic(Records, Svc);

@@ -9,7 +9,8 @@
 /// ResultCache LRU behaviour, queue saturation and backpressure, per-job
 /// deadlines (expired in queue and bounding a running solve), cancellation
 /// in every phase, single-flight coalescing, priority ordering, shutdown
-/// draining, and the Engine::solveBatch / Engine::shared() entry points.
+/// draining, the JobHandle::onDone contract on every completion path, and
+/// the Engine::solveBatch / Engine::shared() entry points.
 ///
 /// Timing discipline: tests never assert that something happens *within* a
 /// tight budget on the (possibly 1-core, sanitized) CI box; they only use
@@ -24,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 using namespace morpheus;
@@ -655,6 +657,109 @@ TEST(SynthService, CancellingOneCoalescedHandleKeepsTheSolveAlive) {
   EXPECT_EQ(A.get().Result, Outcome::Cancelled);
   Blocker.cancel();
   EXPECT_EQ(B.get().Result, Outcome::Solved);
+}
+
+//===----------------------------------------------------------------------===//
+// SynthService: onDone continuations
+//===----------------------------------------------------------------------===//
+
+/// Counts one handle's onDone runs. The continuation calls Svc.stats(),
+/// which takes the service mutex, and status(), which takes the job's own
+/// mutex: a continuation run under either would deadlock here instead of
+/// counting.
+struct DoneProbe {
+  std::atomic<int> Runs{0};
+  std::atomic<bool> SawDone{true};
+
+  void attach(SynthService &Svc, const JobHandle &H) {
+    H.onDone([this, &Svc, H] {
+      (void)Svc.stats();
+      if (H.status() != JobStatus::Done)
+        SawDone = false;
+      Runs.fetch_add(1);
+    });
+  }
+  /// Polls for the first run; false on a 20 s ceiling (a test bug).
+  bool waitRun() const {
+    for (int I = 0; I != 20000 && Runs.load() == 0; ++I)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return Runs.load() > 0;
+  }
+};
+
+TEST(SynthService, OnDoneRunsOnceOnEveryCompletionPathOutsideTheLock) {
+  DoneProbe Running, Rider, Solved, Leader, Follower, QueueExpired,
+      QueueCancel, Hit, Late, ShutRunning, ShutQueued;
+  {
+    SynthService Svc(longEngine(), ServiceOptions().workers(1));
+    JobHandle Blocker = Svc.submit(ghostProblem(0));
+    ASSERT_TRUE(waitUntilStatus(Blocker, JobStatus::Running));
+    Running.attach(Svc, Blocker);
+
+    // Rider shed: coalesced onto the running (deadline-free) solve, shed
+    // by the reaper at its own deadline.
+    JobHandle R =
+        Svc.submit(ghostProblem(0), JobRequest().deadline(
+                                        std::chrono::milliseconds(50)));
+    EXPECT_EQ(R.source(), ResultSource::Coalesced);
+    Rider.attach(Svc, R);
+    EXPECT_EQ(R.get().Result, Outcome::Timeout);
+    EXPECT_TRUE(Rider.waitRun());
+
+    // Queued behind the blocker: a solve, a coalesced pair, a queue
+    // deadline and a queued cancel.
+    JobHandle A = Svc.submit(fastProblem(1));
+    Solved.attach(Svc, A);
+    JobHandle B1 = Svc.submit(fastProblem(2));
+    JobHandle B2 = Svc.submit(fastProblem(2));
+    EXPECT_EQ(B2.source(), ResultSource::Coalesced);
+    Leader.attach(Svc, B1);
+    Follower.attach(Svc, B2);
+    JobHandle D = Svc.submit(
+        ghostProblem(5), JobRequest().deadline(std::chrono::milliseconds(50)));
+    QueueExpired.attach(Svc, D);
+    EXPECT_EQ(D.get().Result, Outcome::Timeout);
+    EXPECT_EQ(D.source(), ResultSource::QueueDeadline);
+    EXPECT_TRUE(QueueExpired.waitRun());
+
+    JobHandle Q = Svc.submit(fastProblem(3));
+    QueueCancel.attach(Svc, Q);
+    Q.cancel(); // completes on this thread: the continuation ran inside
+    EXPECT_EQ(QueueCancel.Runs.load(), 1);
+    EXPECT_EQ(Q.source(), ResultSource::QueueCancelled);
+
+    Blocker.cancel(); // cancel while running, same inline guarantee
+    EXPECT_EQ(Running.Runs.load(), 1);
+    EXPECT_EQ(Blocker.get().Result, Outcome::Cancelled);
+
+    EXPECT_EQ(A.get().Result, Outcome::Solved);
+    EXPECT_EQ(B2.get().Result, Outcome::Solved);
+    EXPECT_TRUE(Solved.waitRun());
+    EXPECT_TRUE(Leader.waitRun());
+    EXPECT_TRUE(Follower.waitRun());
+
+    // Cache hit at submit, and any registration after Done: inline.
+    JobHandle H = Svc.submit(fastProblem(1));
+    EXPECT_EQ(H.source(), ResultSource::CacheHit);
+    Hit.attach(Svc, H);
+    EXPECT_EQ(Hit.Runs.load(), 1);
+    Late.attach(Svc, A);
+    EXPECT_EQ(Late.Runs.load(), 1);
+
+    // Shutdown: one running, one queued when the service is destroyed.
+    JobHandle Long = Svc.submit(ghostProblem(8));
+    ASSERT_TRUE(waitUntilStatus(Long, JobStatus::Running));
+    JobHandle Waiting = Svc.submit(ghostProblem(9));
+    ShutRunning.attach(Svc, Long);
+    ShutQueued.attach(Svc, Waiting);
+  } // ~SynthService completes both and joins the threads that ran them
+
+  for (DoneProbe *P : {&Running, &Rider, &Solved, &Leader, &Follower,
+                       &QueueExpired, &QueueCancel, &Hit, &Late,
+                       &ShutRunning, &ShutQueued}) {
+    EXPECT_EQ(P->Runs.load(), 1);
+    EXPECT_TRUE(P->SawDone.load());
+  }
 }
 
 //===----------------------------------------------------------------------===//

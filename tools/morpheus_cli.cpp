@@ -31,7 +31,6 @@
 #include "analysis/SpecLint.h"
 #include "analysis/SpecMutants.h"
 #include "api/Engine.h"
-#include "bus/EventBus.h"
 #include "bus/Replay.h"
 #include "bus/TrafficRecorder.h"
 #include "cluster/ClusterClient.h"
@@ -134,7 +133,7 @@ int usage(const char *Msg = nullptr) {
       "  --cluster H1:P1,H2:P2,...        forward jobs to worker nodes,\n"
       "                                   sharded by problem fingerprint;\n"
       "                                   unreachable shards fail back to\n"
-      "                                   local solving (excludes --record)\n"
+      "                                   local solving\n"
       "  --strategy, --timeout, --threads, --spec, --no-deduction,\n"
       "  --sharing, --library             as for solve\n"
       "\n"
@@ -707,6 +706,9 @@ struct PendingRequest {
   std::vector<std::string> InputNames;
   JobHandle Handle;
   ClusterJob CJob;
+  /// --record: the traffic record's submission half (trafficArrival),
+  /// completed and written by the flusher once the job is done.
+  std::optional<TrafficRecord> Rec;
 };
 
 void printResponse(const PendingRequest &Req) {
@@ -730,6 +732,19 @@ void printResponse(const PendingRequest &Req) {
   }
   std::printf("%s\n", serveResponseLine(R).c_str());
   std::fflush(stdout);
+}
+
+/// Completes \p Req's traffic record from its finished job, whichever
+/// front door ran it, and appends the line to \p Out.
+void writeTrafficRecord(PendingRequest &Req, std::ostream &Out) {
+  if (Req.CJob.valid())
+    finishTrafficRecord(*Req.Rec, Req.CJob.get(), Req.CJob.source(),
+                        Req.CJob.queueMs(), Req.CJob.solveMs());
+  else
+    finishTrafficRecord(*Req.Rec, Req.Handle.get(),
+                        resultSourceName(Req.Handle.source()),
+                        Req.Handle.queueMs(), Req.Handle.solveMs());
+  Out << trafficRecordToLine(*Req.Rec) << '\n';
 }
 
 /// Parses "H1:P1,H2:P2,..." into worker addresses; empty on any bad entry
@@ -811,12 +826,6 @@ int runServe(ArgReader &Args) {
       return usage(("unknown option " + A).c_str());
     }
   }
-  // The recorder captures the local service's bus; under --cluster most
-  // jobs never touch the local service, so the log would silently record
-  // only the fail-back slice — refuse the combination instead.
-  if (!RecordPath.empty() && !ClusterSpec.empty())
-    return usage("--record cannot be combined with --cluster");
-
   std::vector<SockAddr> ClusterWorkers;
   if (!ClusterSpec.empty()) {
     std::string Err;
@@ -825,12 +834,9 @@ int runServe(ArgReader &Args) {
       return usage(Err.c_str());
   }
 
-  // --record: a lossless bus feeds the traffic recorder; declared before
-  // the service so the recorder outlives it and catches the completion
-  // events of jobs the shutdown path cancels.
-  std::shared_ptr<EventBus> Bus;
+  // --record: the flusher writes one traffic line per answered request,
+  // from the finished job of whichever front door served it.
   std::ofstream RecordOut;
-  std::unique_ptr<TrafficRecorder> Recorder;
   if (!RecordPath.empty()) {
     RecordOut.open(RecordPath);
     if (!RecordOut) {
@@ -838,12 +844,9 @@ int runServe(ArgReader &Args) {
                    RecordPath.c_str());
       return 2;
     }
-    EventBus::Options BusOpts;
-    BusOpts.Policy = DropPolicy::Block;
-    Bus = EventBus::create(BusOpts);
-    Recorder = std::make_unique<TrafficRecorder>(Bus, RecordOut);
-    Opts.eventBus(Bus);
   }
+  const auto Epoch = std::chrono::steady_clock::now(); // arrival_ns origin
+  uint64_t Recorded = 0; // flusher thread only until it is joined
 
   // Exactly one of these serves the requests; the coordinator owns its
   // own local fail-back service internally.
@@ -896,6 +899,10 @@ int runServe(ArgReader &Args) {
         PendingSpace.notify_one();
       }
       printResponse(Req); // blocks in JobHandle::get() for live jobs
+      if (Req.Rec) {
+        writeTrafficRecord(Req, RecordOut);
+        ++Recorded;
+      }
     }
   });
   auto Respond = [&](PendingRequest Req) {
@@ -926,6 +933,8 @@ int runServe(ArgReader &Args) {
       R.deadline(SR.Deadline);
     Req.Name = SR.Prob->Name;
     Req.InputNames = SR.Prob->inputNames();
+    if (RecordOut.is_open())
+      Req.Rec = trafficArrival(LineNo, Epoch, *SR.Prob, Opts, R);
     if (Cluster)
       Req.CJob = Cluster->submit(std::move(*SR.Prob), R);
     else
@@ -964,11 +973,10 @@ int runServe(ArgReader &Args) {
                  (unsigned long long)(Stats.QueueDeadlineExpired +
                                       Stats.RiderDeadlineExpired));
   }
-  if (Recorder) {
-    Bus->flush();
+  if (RecordOut.is_open()) {
+    RecordOut.flush();
     std::fprintf(stderr, "recorded %llu job(s) to %s\n",
-                 (unsigned long long)Recorder->recordsWritten(),
-                 RecordPath.c_str());
+                 (unsigned long long)Recorded, RecordPath.c_str());
   }
   return 0;
 }
