@@ -4,18 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures what each tier of the deduction substrate removes from the
-// hot path, on a slice of the morpheus suite:
+// Measures what the verdict cache and the refutation store remove from
+// the deduction hot path, on a slice of the morpheus suite:
 //
-//  1. sequential baseline: Z3 invocations per task and how many deduce
-//     calls the verdict cache / shape sessions / compiled templates
-//     absorb;
+//  1. sequential baseline: decisions (native and Z3) and how many deduce
+//     calls the verdict cache absorbs;
 //  2. sequential sharing ablation with a program-parity check: the
 //     sequential search is deterministic (modulo wall-clock timeout
 //     boundaries), so refutation sharing must reproduce the identical
 //     program on every commonly solved task — cold and warm;
 //  3. portfolio ablation: refutation sharing off vs per-solve vs
-//     process-wide — total Z3 invocations summed across ALL portfolio
+//     process-wide — total decisions summed across ALL portfolio
 //     members (the winner's siblings burn solver time too, which is
 //     exactly what the shared store removes), with a second process-wide
 //     pass showing cross-solve reuse. No program parity here: the
@@ -74,9 +73,10 @@ ArmResult runArm(const std::string &Label,
 
 void printArm(const ArmResult &A) {
   const DeduceStats &D = A.Deduce;
-  std::printf("  %-22s %3zu solved %8.2fs  checks %9llu  cache %9llu  "
-              "session %8llu  store %8llu/%llu\n",
+  std::printf("  %-22s %3zu solved %8.2fs  decisions %9llu (z3 %6llu)  "
+              "cache %9llu  session %6llu  store %8llu/%llu\n",
               A.Label.c_str(), A.Solved, A.WallSeconds,
+              (unsigned long long)D.decisions(),
               (unsigned long long)D.SolverChecks,
               (unsigned long long)D.CacheHits,
               (unsigned long long)D.SessionHits,
@@ -117,26 +117,25 @@ int main(int argc, char **argv) {
   EngineOptions Seq;
   Seq.timeout(std::chrono::milliseconds(TimeoutMs));
 
-  // ------------------------------------------- 1. sequential substrate tiers
+  // ------------------------------------------------ 1. sequential baseline
   ArmResult SeqOff = runArm(
       "sequential/off", Suite,
       EngineOptions(Seq).refutationSharing(RefutationSharing::Off));
-  std::printf("sequential baseline (per-engine tiers only):\n");
+  std::printf("sequential baseline (verdict cache only):\n");
   printArm(SeqOff);
   {
     const DeduceStats &D = SeqOff.Deduce;
-    uint64_t Absorbed = D.CacheHits + D.SessionHits;
-    std::printf("    %.1f%% of %llu deduce calls never reached a Z3 "
-                "check; %llu scope rebuilds for %llu calls "
-                "(%llu push/pop)\n\n",
-                D.Calls ? 100.0 * double(D.Calls - D.SolverChecks) /
+    std::printf("    %.1f%% of %llu deduce calls needed no decision; "
+                "%llu of %llu decisions went to Z3 (%llu scope "
+                "rebuilds, %llu push/pop)\n\n",
+                D.Calls ? 100.0 * double(D.Calls - D.decisions()) /
                               double(D.Calls)
                         : 0.0,
                 (unsigned long long)D.Calls,
+                (unsigned long long)D.SolverChecks,
+                (unsigned long long)D.decisions(),
                 (unsigned long long)D.SessionBuilds,
-                (unsigned long long)D.Calls,
                 (unsigned long long)D.SolverPushes);
-    (void)Absorbed;
   }
 
   // -------------------------- 2. sequential sharing ablation, with parity
@@ -152,14 +151,14 @@ int main(int argc, char **argv) {
   printArm(SeqWarm);
   bool Ok = paritize(SeqOff, SeqCold) && paritize(SeqOff, SeqWarm);
   double SeqDrop =
-      SeqOff.Deduce.SolverChecks
-          ? 100.0 * (1.0 - double(SeqWarm.Deduce.SolverChecks) /
-                               double(SeqOff.Deduce.SolverChecks))
+      SeqOff.Deduce.decisions()
+          ? 100.0 * (1.0 - double(SeqWarm.Deduce.decisions()) /
+                               double(SeqOff.Deduce.decisions()))
           : 0.0;
-  std::printf("  warm Z3 checks %llu vs %llu baseline (-%.1f%%); parity "
+  std::printf("  warm decisions %llu vs %llu baseline (-%.1f%%); parity "
               "(identical programs on commonly solved tasks): %s\n\n",
-              (unsigned long long)SeqWarm.Deduce.SolverChecks,
-              (unsigned long long)SeqOff.Deduce.SolverChecks, SeqDrop,
+              (unsigned long long)SeqWarm.Deduce.decisions(),
+              (unsigned long long)SeqOff.Deduce.decisions(), SeqDrop,
               Ok ? "OK" : "FAILED");
 
   // ---------------------------------------------- 3. portfolio sharing arms
@@ -187,19 +186,19 @@ int main(int argc, char **argv) {
   printArm(Process);
   printArm(Process2);
 
-  double Drop1 = Off.Deduce.SolverChecks
-                     ? 100.0 * (1.0 - double(PerSolve.Deduce.SolverChecks) /
-                                          double(Off.Deduce.SolverChecks))
+  double Drop1 = Off.Deduce.decisions()
+                     ? 100.0 * (1.0 - double(PerSolve.Deduce.decisions()) /
+                                          double(Off.Deduce.decisions()))
                      : 0.0;
-  double Drop2 = Off.Deduce.SolverChecks
-                     ? 100.0 * (1.0 - double(Process2.Deduce.SolverChecks) /
-                                          double(Off.Deduce.SolverChecks))
+  double Drop2 = Off.Deduce.decisions()
+                     ? 100.0 * (1.0 - double(Process2.Deduce.decisions()) /
+                                          double(Off.Deduce.decisions()))
                      : 0.0;
-  std::printf("\n  Z3 checks: %llu (off) -> %llu (per-solve, -%.1f%%) -> "
+  std::printf("\n  decisions: %llu (off) -> %llu (per-solve, -%.1f%%) -> "
               "%llu (process-wide warm, -%.1f%%)\n",
-              (unsigned long long)Off.Deduce.SolverChecks,
-              (unsigned long long)PerSolve.Deduce.SolverChecks, Drop1,
-              (unsigned long long)Process2.Deduce.SolverChecks, Drop2);
+              (unsigned long long)Off.Deduce.decisions(),
+              (unsigned long long)PerSolve.Deduce.decisions(), Drop1,
+              (unsigned long long)Process2.Deduce.decisions(), Drop2);
   std::printf("  (solved counts may differ by timeout-boundary tasks only; "
               "program identity is asserted on the deterministic\n   "
               "sequential arms above and by tests/DeduceParityTest)\n");

@@ -9,11 +9,11 @@
 /// MORPHEUS can prune 72% of the partial programs without having to fill
 /// all holes in the sketch". Runs Spec 2 + partial evaluation over the 80
 /// benchmarks and reports the fraction of partially filled sketches
-/// rejected by deduction before completion, plus the share of runtime
-/// spent in deduction. That share is DeduceStats::SolverSeconds, which
-/// times all of deduce() — partial evaluation, α, key building and cache
-/// lookups as well as the Z3 check() — so it bounds the paper's ~15% "time
-/// in SMT" from above rather than measuring it.
+/// rejected by deduction before completion, plus two shares of runtime:
+/// all of deduce() (DeduceStats::SolverSeconds: partial evaluation, α,
+/// key building, cache lookups and the decisions) and Z3 alone
+/// (DeduceStats::Z3Seconds: the fallback for queries outside the native
+/// decider's fragment), next to the number of native decisions.
 ///
 /// Usage: bench_prune_rate [timeout_ms]
 ///
@@ -31,20 +31,27 @@ int main(int argc, char **argv) {
   std::vector<TaskResult> Results = runSuite(
       morpheusSuite(), configSpec2(std::chrono::milliseconds(TimeoutMs)));
 
-  uint64_t Tried = 0, Pruned = 0;
-  double Elapsed = 0, Smt = 0;
+  uint64_t Tried = 0, Pruned = 0, Native = 0, Checks = 0;
+  double Elapsed = 0, Deduce = 0, Z3 = 0;
   for (const TaskResult &R : Results) {
     Tried += R.Stats.PartialFillsTried;
     Pruned += R.Stats.PartialFillsPruned;
     Elapsed += R.Stats.ElapsedSeconds;
-    Smt += R.Stats.Deduce.SolverSeconds;
+    Deduce += R.Stats.Deduce.SolverSeconds;
+    Z3 += R.Stats.Deduce.Z3Seconds;
+    Native += R.Stats.Deduce.NativeDecisions;
+    Checks += R.Stats.Deduce.SolverChecks;
   }
   std::printf("partial fills tried:   %llu\n", (unsigned long long)Tried);
   std::printf("pruned before filling all holes: %llu (%.1f%%)\n",
               (unsigned long long)Pruned,
               Tried ? 100.0 * double(Pruned) / double(Tried) : 0.0);
   std::printf("deduction share of runtime: %.1f%% (%.1fs of %.1fs)\n",
-              Elapsed ? 100.0 * Smt / Elapsed : 0.0, Smt, Elapsed);
+              Elapsed ? 100.0 * Deduce / Elapsed : 0.0, Deduce, Elapsed);
+  std::printf("z3 share of runtime: %.1f%% (%.2fs; %llu checks, %llu "
+              "native decisions)\n",
+              Elapsed ? 100.0 * Z3 / Elapsed : 0.0, Z3,
+              (unsigned long long)Checks, (unsigned long long)Native);
   std::printf("\nPaper: 72%% of partial programs pruned without filling "
               "all holes; ~15%% of time in SMT (68%% was the R "
               "interpreter, which this reproduction replaces with native "

@@ -195,7 +195,7 @@ int main(int argc, char **argv) {
   // the ResultCache. With the result cache disabled, a repeated job must
   // re-run the engine — but the second run starts with every refutation
   // the first one derived, so its search reaches the program with fewer
-  // Z3 checks.
+  // decisions.
   {
     SynthService Svc(E, ServiceOptions().workers(1).cacheCapacity(0));
     Problem P = variantProblem(unsigned(Unique + 1)); // never seen above
@@ -205,13 +205,13 @@ int main(int argc, char **argv) {
     const DeduceStats &W = Warm.Stats.Deduce;
     std::printf("\nrefutation-store reuse (result cache off, same example "
                 "twice):\n"
-                "  cold solve %7.2f ms, %6llu Z3 checks, %6llu store "
+                "  cold solve %7.2f ms, %6llu decisions, %6llu store "
                 "inserts\n"
-                "  warm solve %7.2f ms, %6llu Z3 checks, %6llu store hits "
+                "  warm solve %7.2f ms, %6llu decisions, %6llu store hits "
                 "(scopes held: %zu)\n",
-                1e3 * Cold.Seconds, (unsigned long long)C.SolverChecks,
+                1e3 * Cold.Seconds, (unsigned long long)C.decisions(),
                 (unsigned long long)C.StoreInserts, 1e3 * Warm.Seconds,
-                (unsigned long long)W.SolverChecks,
+                (unsigned long long)W.decisions(),
                 (unsigned long long)W.StoreHits,
                 Svc.stats().RefutationScopes);
   }
@@ -282,7 +282,7 @@ int main(int argc, char **argv) {
 
     double ColdSec = 0, WarmSec = 0;
     size_t ColdSolved = 0, WarmSolved = 0;
-    uint64_t ColdChecks = 0, WarmChecks = 0;
+    uint64_t ColdDecisions = 0, WarmDecisions = 0;
     WarmStateStats Loaded;
     uint64_t WarmHits = 0;
     {
@@ -292,7 +292,7 @@ int main(int argc, char **argv) {
       for (const Problem &P : Problems) {
         const Solution &S = Svc.submit(P).get();
         ColdSolved += bool(S);
-        ColdChecks += S.Stats.Deduce.SolverChecks;
+        ColdDecisions += S.Stats.Deduce.decisions();
       }
       ColdSec = secondsSince(T0);
     } // ~SynthService publishes the final checkpoint
@@ -303,7 +303,7 @@ int main(int argc, char **argv) {
       for (const Problem &P : Problems) {
         const Solution &S = Svc.submit(P).get();
         WarmSolved += bool(S);
-        WarmChecks += S.Stats.Deduce.SolverChecks;
+        WarmDecisions += S.Stats.Deduce.decisions();
       }
       WarmSec = secondsSince(T0);
       ServiceStats S = Svc.stats();
@@ -311,18 +311,18 @@ int main(int argc, char **argv) {
       WarmHits = S.Cache.Hits;
     }
     std::printf("\ndurable warm state (state dir, restart between passes):\n"
-                "  cold process %8.2f ms total, %zu solved, %llu Z3 checks "
+                "  cold process %8.2f ms total, %zu solved, %llu decisions "
                 "run\n"
                 "  warm restart %8.2f ms total, %zu solved, %llu cache hits "
-                "(0 Z3 checks run)\n"
+                "(0 decisions run)\n"
                 "  restored: %llu results, %llu refutation keys across %llu "
                 "scopes\n",
-                1e3 * ColdSec, ColdSolved, (unsigned long long)ColdChecks,
+                1e3 * ColdSec, ColdSolved, (unsigned long long)ColdDecisions,
                 1e3 * WarmSec, WarmSolved, (unsigned long long)WarmHits,
                 (unsigned long long)Loaded.ResultsLoaded,
                 (unsigned long long)Loaded.RefutationKeysLoaded,
                 (unsigned long long)Loaded.RefutationScopesLoaded);
-    (void)WarmChecks; // restored rows carry the cold run's stats verbatim
+    (void)WarmDecisions; // restored rows carry the cold run's stats verbatim
   }
 
   // ------------------------------ 6. cluster tier: 1 vs 2 loopback workers

@@ -276,9 +276,13 @@ void WorkerNode::sendResultFor(uint64_t Key) {
   M.Candidates = S.Stats.CandidatesChecked;
   if (S)
     M.Program = printSexp(S.Program);
+  {
+    // Counted before the frame goes out, so a peer that has read the
+    // Result never sees a stats() that misses it.
+    MutexLock Lock(StatsM);
+    ++Counters.JobsAnswered;
+  }
   sendMsg(C, M);
-  MutexLock Lock(StatsM);
-  ++Counters.JobsAnswered;
 }
 
 void WorkerNode::sendMsg(Conn &C, const WireMessage &M) {

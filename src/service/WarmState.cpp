@@ -27,7 +27,7 @@ uint64_t morpheus::warmStateCompatKey(const ComponentLibrary &Lib,
   using hashing::hashString;
 
   // Seed distinct from every other key family (see table/Hash.h users).
-  uint64_t H = 0x5761726d53743031ULL; // "WarmSt01"
+  uint64_t H = 0x5761726d53743032ULL; // "WarmSt02"
 
   // The component library: a change to any name, signature or spec
   // formula — at either level, whichever is configured — can change a
@@ -88,6 +88,7 @@ void encodeResult(ByteWriter &W, uint64_t Fp, const Solution &S) {
   W.putU64(D.Rejections);
   W.putU64(D.FastPathRejections);
   W.putU64(D.CacheHits);
+  W.putU64(D.NativeDecisions);
   W.putU64(D.SolverChecks);
   W.putU64(D.TemplateCompiles);
   W.putU64(D.TemplateHits);
@@ -98,6 +99,7 @@ void encodeResult(ByteWriter &W, uint64_t Fp, const Solution &S) {
   W.putU64(D.SolverPushes);
   W.putU64(D.SolverPops);
   W.putF64(D.SolverSeconds);
+  W.putF64(D.Z3Seconds);
 }
 
 bool decodeResult(std::string_view Payload, const ComponentLibrary &Lib,
@@ -129,11 +131,12 @@ bool decodeResult(std::string_view Payload, const ComponentLibrary &Lib,
   DeduceStats &D = St.Deduce;
   if (!R.getU64(D.Calls) || !R.getU64(D.Rejections) ||
       !R.getU64(D.FastPathRejections) || !R.getU64(D.CacheHits) ||
-      !R.getU64(D.SolverChecks) || !R.getU64(D.TemplateCompiles) ||
-      !R.getU64(D.TemplateHits) || !R.getU64(D.SessionBuilds) ||
-      !R.getU64(D.SessionHits) || !R.getU64(D.StoreHits) ||
-      !R.getU64(D.StoreInserts) || !R.getU64(D.SolverPushes) ||
-      !R.getU64(D.SolverPops) || !R.getF64(D.SolverSeconds))
+      !R.getU64(D.NativeDecisions) || !R.getU64(D.SolverChecks) ||
+      !R.getU64(D.TemplateCompiles) || !R.getU64(D.TemplateHits) ||
+      !R.getU64(D.SessionBuilds) || !R.getU64(D.SessionHits) ||
+      !R.getU64(D.StoreHits) || !R.getU64(D.StoreInserts) ||
+      !R.getU64(D.SolverPushes) || !R.getU64(D.SolverPops) ||
+      !R.getF64(D.SolverSeconds) || !R.getF64(D.Z3Seconds))
     return false;
   return R.atEnd();
 }

@@ -1,27 +1,27 @@
-//===- smt/Deduce.cpp - SMT-based deduction (Algorithm 2) --------------------==//
+//===- smt/Deduce.cpp - Deduction (Algorithm 2) -------------------------------==//
 //
 // Part of the Morpheus reproduction, MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// ψ is generated in two layers that map onto two Z3 scopes:
+// deduce() lays ψ out as a Psi: one node per table-typed subtree in
+// pre-order, with the concrete abstraction of every subtree partial
+// evaluation can evaluate. The native decider settles it unless some atom
+// is outside its fragment and the rest is satisfiable; then Z3Decider
+// does.
+//
+// Z3Decider splits ψ over two Z3 scopes:
 //
 //   scope 1 ("shape"): everything determined by the sketch shape alone —
 //     Φ(H) instantiated from compiled spec templates, the per-node domain
 //     axioms, the input bindings α(Ti), the hole disjunction ϕin, and the
-//     output binding α(Tout) on the root. Keyed on
-//     (Hypothesis::shapeHash, spec level); kept pushed across deduce
-//     calls and only rebuilt when the shape changes. During sketch
-//     completion every partial fill shares one shape, so the whole
-//     skeleton is asserted once per sketch instead of once per fill.
+//     output binding α(Tout) on the root. Keyed on (Psi::Shape, spec
+//     level); kept pushed across calls and only rebuilt when the shape
+//     changes, so sibling fills of one sketch share it.
 //
 //   scope 2 ("query"): the concrete abstractions partial evaluation
-//     conjoins for subtrees that are complete under the current fill,
-//     plus the interval fast path. Pushed and popped per call.
-//
-// Node attribute variables are allocated in pre-order over table-typed
-// nodes; the allocation order is itself shape-determined, so the concrete
-// walk of scope 2 indexes the variables created by scope 1 positionally.
+//     conjoins for subtrees that are complete under the current fill.
+//     Pushed and popped per call.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,8 +30,8 @@
 #include "smt/SpecCompiler.h"
 #include "table/Hash.h"
 
+#include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <unordered_map>
 #include <z3++.h>
 
@@ -39,30 +39,175 @@ using namespace morpheus;
 using hashing::hashString;
 using hashing::mix64;
 
-struct DeductionEngine::Impl {
+namespace {
+
+void appendInt(std::string &Out, int64_t V) {
+  char Buf[24];
+  char *End = std::to_chars(Buf, Buf + sizeof(Buf), V).ptr;
+  Out.append(Buf, End);
+}
+
+double secondsSince(std::chrono::steady_clock::time_point Start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       Start)
+      .count();
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// Z3Decider
+//===----------------------------------------------------------------------===//
+
+struct Z3Decider::Impl {
   z3::context Ctx;
   /// Persistent solver with push/pop per query: constructing a fresh
-  /// z3::solver costs ~8ms of setup, push/pop ~0.3ms (measured on this
-  /// image); deduce is called thousands of times per task.
+  /// z3::solver costs ~8ms of setup, push/pop ~0.3ms.
   z3::solver Solver{Ctx};
-  std::shared_ptr<const ExampleContext> Ex;
+  const ExampleContext &Ex;
   SpecCompiler Compiler{Ctx};
-  std::shared_ptr<RefutationStore> Store;
   unsigned NextVar = 0;
 
   /// The open shape session: scope 1 holds the skeleton of SessionKey's
-  /// sketch shape, and Vars are its per-node attribute variables in
-  /// pre-order. Invalidated (popped and rebuilt) when a different shape
-  /// arrives.
+  /// shape, and Vars are its per-node attribute variables in pre-order.
   bool SessionOpen = false;
   uint64_t SessionKey = 0;
   std::vector<NodeVars> Vars;
-  size_t ConcreteIdx = 0; ///< pre-order cursor of the scope-2 walk
 
-  /// ϕin compiled once per engine: the hole-must-be-an-input disjunction
-  /// over a placeholder node, instantiated per TblHole by substitution.
+  /// ϕin compiled once: the hole-must-be-an-input disjunction over a
+  /// placeholder node, instantiated per hole by substitution.
   z3::expr HoleTemplate;
   z3::expr_vector HoleParams;
+
+  explicit Impl(const ExampleContext &ExIn)
+      : Ex(ExIn), HoleTemplate(Ctx), HoleParams(Ctx) {
+    // A hole must be instantiated with one of the inputs, i.e. carry some
+    // input's concrete (row, col) and the input defaults group = 1,
+    // newCols = newVals = 0.
+    auto Var = [&](const char *Name) { return Ctx.int_const(Name); };
+    NodeVars Hole{Var("$h_r"), Var("$h_c"), Var("$h_g"), Var("$h_nc"),
+                  Var("$h_nv")};
+    z3::expr_vector Disj(Ctx);
+    for (const AttrValues &A : Ex.InputAbs) {
+      Disj.push_back(Hole.Row == Ctx.int_val(int64_t(A.Row)) &&
+                     Hole.Col == Ctx.int_val(int64_t(A.Col)) &&
+                     Hole.NewCols == 0 && Hole.NewVals == 0 &&
+                     Hole.Group == 1);
+    }
+    HoleTemplate = z3::mk_or(Disj);
+    for (TableAttr A : {TableAttr::Row, TableAttr::Col, TableAttr::Group,
+                        TableAttr::NewCols, TableAttr::NewVals})
+      HoleParams.push_back(Hole.get(A));
+  }
+
+  z3::expr freshVar(const char *Prefix) {
+    std::string Name = std::string(Prefix) + std::to_string(NextVar++);
+    return Ctx.int_const(Name.c_str());
+  }
+
+  /// Binds the concrete (non-group) attributes of \p N to \p A.
+  void bindConcrete(const NodeVars &N, const AttrValues &A) {
+    Solver.add(N.Row == Ctx.int_val(int64_t(A.Row)));
+    Solver.add(N.Col == Ctx.int_val(int64_t(A.Col)));
+    Solver.add(N.NewCols == Ctx.int_val(int64_t(A.NewCols)));
+    Solver.add(N.NewVals == Ctx.int_val(int64_t(A.NewVals)));
+  }
+
+  /// Scope-1 generation: the shape-determined skeleton of \p Q.
+  void genShape(const Psi &Q, SpecLevel Level) {
+    // Re-using variable names across sessions lets the context cache the
+    // symbol and AST objects instead of growing without bound.
+    NextVar = 0;
+    Vars.clear();
+    for (size_t I = 0; I != Q.Nodes.size(); ++I)
+      Vars.push_back({freshVar("r"), freshVar("c"), freshVar("g"),
+                      freshVar("nc"), freshVar("nv")});
+    std::vector<NodeVars> ArgVars;
+    for (size_t I = 0; I != Q.Nodes.size(); ++I) {
+      const PsiNode &N = Q.Nodes[I];
+      const NodeVars &V = Vars[I];
+      Solver.add(Compiler.axiomsFor(V));
+      switch (N.K) {
+      case PsiNode::Kind::Input:
+        bindConcrete(V, N.Abs);
+        Solver.add(V.Group == 1);
+        break;
+      case PsiNode::Kind::Hole: {
+        z3::expr_vector Dst(Ctx);
+        for (TableAttr A : {TableAttr::Row, TableAttr::Col, TableAttr::Group,
+                            TableAttr::NewCols, TableAttr::NewVals})
+          Dst.push_back(V.get(A));
+        Solver.add(HoleTemplate.substitute(HoleParams, Dst));
+        break;
+      }
+      case PsiNode::Kind::Apply: {
+        ArgVars.clear();
+        for (unsigned A = 0; A != N.X->numTableArgs(); ++A)
+          ArgVars.push_back(Vars[Q.Args[N.FirstArg + A]]);
+        const SpecTemplate &T = Compiler.get(N.X, Level);
+        if (!T.Trivial)
+          Solver.add(T.instantiate(ArgVars, V));
+        break;
+      }
+      }
+    }
+    // ϕout ∧ α(Tout)[y/x]: the root must match the output table; its group
+    // is a fresh positive variable (Appendix A).
+    bindConcrete(Vars[0], Ex.OutputAbs);
+  }
+};
+
+Z3Decider::Z3Decider(const ExampleContext &Ex)
+    : P(std::make_unique<Impl>(Ex)) {}
+
+Z3Decider::~Z3Decider() = default;
+
+bool Z3Decider::decide(const Psi &Q, SpecLevel Level, DeduceStats &Stats) {
+  z3::solver &S = P->Solver;
+  uint64_t SessionKey =
+      mix64(Q.Shape ^
+            (Level == SpecLevel::Spec1 ? 0x5370656331ULL : 0x5370656332ULL));
+  if (!P->SessionOpen || P->SessionKey != SessionKey) {
+    if (P->SessionOpen) {
+      S.pop();
+      ++Stats.SolverPops;
+    }
+    S.push();
+    ++Stats.SolverPushes;
+    P->genShape(Q, Level);
+    P->SessionOpen = true;
+    P->SessionKey = SessionKey;
+    ++Stats.SessionBuilds;
+  } else {
+    ++Stats.SessionHits;
+  }
+
+  S.push();
+  ++Stats.SolverPushes;
+  for (size_t I = 0; I != Q.Nodes.size(); ++I)
+    if (Q.Nodes[I].K == PsiNode::Kind::Apply && Q.Nodes[I].Concrete)
+      P->bindConcrete(P->Vars[I], Q.Nodes[I].Abs);
+  ++Stats.SolverChecks;
+  bool Result = S.check() != z3::unsat;
+  S.pop();
+  ++Stats.SolverPops;
+  Stats.TemplateCompiles = P->Compiler.compilations();
+  Stats.TemplateHits = P->Compiler.hits();
+  return Result;
+}
+
+//===----------------------------------------------------------------------===//
+// DeductionEngine
+//===----------------------------------------------------------------------===//
+
+struct DeductionEngine::Impl {
+  std::shared_ptr<const ExampleContext> Ex;
+  std::shared_ptr<RefutationStore> Store;
+  NativeDecider Native;
+  /// Built on the first query the native decider leaves open.
+  std::unique_ptr<Z3Decider> Z3;
+  Psi Q;                          ///< scratch: ψ of the current call
+  std::vector<AttrValues> ArgAbs; ///< scratch: the fast path's arguments
 
   /// Memoized partial evaluation, keyed on node identity (trees are
   /// immutable and structurally shared, so a node pointer determines the
@@ -75,6 +220,9 @@ struct DeductionEngine::Impl {
   /// per-sketch eval-cache clear because they carry no node identity.
   std::unordered_map<uint64_t, AttrValues> AbsCache;
 
+  explicit Impl(std::shared_ptr<const ExampleContext> ExIn)
+      : Ex(std::move(ExIn)), Native(*Ex) {}
+
   const AttrValues &absCached(const Table &T) {
     uint64_t Fp = T.fingerprint();
     auto It = AbsCache.find(Fp);
@@ -83,11 +231,11 @@ struct DeductionEngine::Impl {
     return AbsCache.emplace(Fp, abstractTable(T, Ex->Base)).first->second;
   }
 
-  /// Memoized DEDUCE verdicts. The SMT query is fully determined by the
-  /// tree's component structure, the input indices at its leaves and the
-  /// concrete abstractions of evaluated subtrees — many candidate fills
-  /// share that signature (e.g. every equal-shape filter predicate), so
-  /// caching removes the bulk of Z3 calls.
+  /// Memoized DEDUCE verdicts. ψ is fully determined by the tree's
+  /// component structure, the input indices at its leaves and the concrete
+  /// abstractions of evaluated subtrees — many candidate fills share that
+  /// signature (e.g. every equal-shape filter predicate), so caching
+  /// removes the bulk of the decisions.
   std::unordered_map<std::string, bool> VerdictCache;
 
   /// Builds the signature key for \p H; appends to \p Key. Returns false
@@ -123,11 +271,15 @@ struct DeductionEngine::Impl {
           return false;
         if (T) {
           const AttrValues &A = absCached(*T);
-          char Buf[64];
-          std::snprintf(Buf, sizeof(Buf), "@%lld.%lld.%lld.%lld",
-                        (long long)A.Row, (long long)A.Col,
-                        (long long)A.NewCols, (long long)A.NewVals);
-          Key += Buf;
+          // "@row.col.newCols.newVals", as printf's %lld writes them.
+          Key += '@';
+          appendInt(Key, A.Row);
+          Key += '.';
+          appendInt(Key, A.Col);
+          Key += '.';
+          appendInt(Key, A.NewCols);
+          Key += '.';
+          appendInt(Key, A.NewVals);
         }
       }
       return true;
@@ -178,151 +330,92 @@ struct DeductionEngine::Impl {
     return EvalCache.emplace(H.get(), std::move(Result)).first->second;
   }
 
-  explicit Impl(std::shared_ptr<const ExampleContext> ExIn)
-      : Ex(std::move(ExIn)), HoleTemplate(Ctx), HoleParams(Ctx) {
-    // Compile ϕin once: a hole must be instantiated with one of the
-    // inputs, i.e. carry some input's concrete (row, col) and the input
-    // defaults group = 1, newCols = newVals = 0.
-    auto Var = [&](const char *Name) { return Ctx.int_const(Name); };
-    NodeVars Hole{Var("$h_r"), Var("$h_c"), Var("$h_g"), Var("$h_nc"),
-                  Var("$h_nv")};
-    z3::expr_vector Disj(Ctx);
-    for (const AttrValues &A : Ex->InputAbs) {
-      Disj.push_back(Hole.Row == Ctx.int_val(int64_t(A.Row)) &&
-                     Hole.Col == Ctx.int_val(int64_t(A.Col)) &&
-                     Hole.NewCols == 0 && Hole.NewVals == 0 &&
-                     Hole.Group == 1);
-    }
-    HoleTemplate = z3::mk_or(Disj);
-    for (TableAttr A : {TableAttr::Row, TableAttr::Col, TableAttr::Group,
-                        TableAttr::NewCols, TableAttr::NewVals})
-      HoleParams.push_back(Hole.get(A));
-  }
-
-  z3::expr freshVar(const char *Prefix) {
-    std::string Name = std::string(Prefix) + std::to_string(NextVar++);
-    return Ctx.int_const(Name.c_str());
-  }
-
-  NodeVars freshNode() {
-    return {freshVar("r"), freshVar("c"), freshVar("g"), freshVar("nc"),
-            freshVar("nv")};
-  }
-
-  /// Binds the concrete (non-group) attributes of \p N to \p A.
-  void bindConcrete(z3::solver &S, const NodeVars &N, const AttrValues &A) {
-    S.add(N.Row == Ctx.int_val(int64_t(A.Row)));
-    S.add(N.Col == Ctx.int_val(int64_t(A.Col)));
-    S.add(N.NewCols == Ctx.int_val(int64_t(A.NewCols)));
-    S.add(N.NewVals == Ctx.int_val(int64_t(A.NewVals)));
-  }
-
-  /// Scope-1 generation: asserts the shape-determined skeleton of \p H
-  /// (axioms, ϕin, input bindings, instantiated spec templates) and
-  /// appends the node's variables to Vars in pre-order. Returns the
-  /// node's index into Vars.
-  size_t genShape(z3::solver &S, const HypPtr &H, SpecLevel Level,
-                  DeduceStats &Stats) {
-    size_t MyIdx = Vars.size();
-    Vars.push_back(freshNode());
-    NodeVars N = Vars[MyIdx]; // Vars may reallocate during recursion
-    S.add(Compiler.axiomsFor(N));
+  /// Appends \p H's table-typed nodes to Q in pre-order, binding the
+  /// concrete abstraction of every subtree partial evaluation evaluates.
+  /// A node whose arguments are all concrete too gets its spec's
+  /// group-free atoms checked on the spot; when one fails, \p Dead is set
+  /// and the walk stops. Returns the node's index.
+  uint32_t layOut(const HypPtr &H, SpecLevel Level, bool UsePartialEval,
+                  bool &Dead, uint64_t &FastRejects) {
+    uint32_t Idx = uint32_t(Q.Nodes.size());
+    Q.Nodes.emplace_back();
     switch (H->kind()) {
     case Hypothesis::Kind::Input: {
-      bindConcrete(S, N, Ex->InputAbs[H->inputIndex()]);
-      S.add(N.Group == 1);
-      return MyIdx;
+      PsiNode &N = Q.Nodes[Idx];
+      N.K = PsiNode::Kind::Input;
+      N.Concrete = true;
+      N.Abs = Ex->InputAbs[H->inputIndex()];
+      return Idx;
     }
-    case Hypothesis::Kind::TblHole: {
-      z3::expr_vector Dst(Ctx);
-      for (TableAttr A : {TableAttr::Row, TableAttr::Col, TableAttr::Group,
-                          TableAttr::NewCols, TableAttr::NewVals})
-        Dst.push_back(N.get(A));
-      S.add(HoleTemplate.substitute(HoleParams, Dst));
-      return MyIdx;
-    }
-    case Hypothesis::Kind::Apply: {
-      std::vector<NodeVars> ArgVars;
-      for (const HypPtr &C : H->children()) {
-        if (!C->isTableTyped())
-          continue;
-        ArgVars.push_back(Vars[genShape(S, C, Level, Stats)]);
-      }
-      const SpecTemplate &T = Compiler.get(H->component(), Level);
-      if (!T.Trivial)
-        S.add(T.instantiate(ArgVars, Vars[MyIdx]));
-      return MyIdx;
-    }
-    case Hypothesis::Kind::ValueHole:
-    case Hypothesis::Kind::Filled:
-      break;
-    }
-    assert(false && "table-typed node expected");
-    return MyIdx;
-  }
-
-  /// Scope-2 generation: walks \p H in the same pre-order as genShape,
-  /// binding the concrete abstraction of every subtree partial evaluation
-  /// can evaluate, and running the interval fast path. Sets \p Dead when
-  /// a complete subtree fails to evaluate or the fast path refutes a
-  /// node. Returns the node's concrete abstraction when known.
-  std::optional<AttrValues> genConcrete(z3::solver &S, const HypPtr &H,
-                                        SpecLevel Level, bool UsePartialEval,
-                                        bool FastPath, bool &Dead,
-                                        uint64_t &FastRejects) {
-    size_t MyIdx = ConcreteIdx++;
-    switch (H->kind()) {
-    case Hypothesis::Kind::Input:
-      return Ex->InputAbs[H->inputIndex()];
     case Hypothesis::Kind::TblHole:
-      return std::nullopt;
+      Q.Nodes[Idx].K = PsiNode::Kind::Hole;
+      return Idx;
     case Hypothesis::Kind::Apply: {
-      std::vector<std::optional<AttrValues>> ArgConcrete;
+      const TableTransformer *X = H->component();
+      uint32_t First = uint32_t(Q.Args.size());
+      Q.Args.resize(First + X->numTableArgs());
+      Q.Nodes[Idx].K = PsiNode::Kind::Apply;
+      Q.Nodes[Idx].X = X;
+      Q.Nodes[Idx].FirstArg = First;
+      uint32_t Arg = First;
+      bool AllArgs = true;
       for (const HypPtr &C : H->children()) {
         if (!C->isTableTyped())
           continue;
-        ArgConcrete.push_back(genConcrete(S, C, Level, UsePartialEval,
-                                          FastPath, Dead, FastRejects));
+        uint32_t CI = layOut(C, Level, UsePartialEval, Dead, FastRejects);
         if (Dead)
-          return std::nullopt;
+          return Idx;
+        Q.Args[Arg++] = CI;
+        AllArgs = AllArgs && Q.Nodes[CI].Concrete;
       }
+      assert(Arg == First + X->numTableArgs() && "table arity mismatch");
       if (!UsePartialEval)
-        return std::nullopt;
+        return Idx;
       const std::optional<Table> &T = evalCached(H);
-      bool Complete = H->numTblHoles() == 0 && H->numValueHoles() == 0;
-      if (Complete && !T) {
-        Dead = true; // a component rejected its concrete arguments
-        return std::nullopt;
-      }
       if (!T)
-        return std::nullopt;
-      const AttrValues &A = absCached(*T);
-      bindConcrete(S, Vars[MyIdx], A);
-      // Concrete fast path: all table children concrete too -> check the
-      // spec's non-group atoms directly before any Z3 work.
-      if (FastPath) {
-        bool AllArgs = true;
-        std::vector<AttrValues> Args;
-        for (const auto &AC : ArgConcrete) {
-          if (!AC)
-            AllArgs = false;
-          else
-            Args.push_back(*AC);
-        }
-        const SpecTemplate &Tpl = Compiler.get(H->component(), Level);
-        if (AllArgs && !evalSpec(Tpl.NonGroup, Args, A)) {
+        return Idx;
+      PsiNode &N = Q.Nodes[Idx];
+      N.Concrete = true;
+      N.Abs = absCached(*T);
+      if (AllArgs) {
+        ArgAbs.clear();
+        for (uint32_t A = First; A != Arg; ++A)
+          ArgAbs.push_back(Q.Nodes[Q.Args[A]].Abs);
+        if (!evalSpec(Native.nonGroup(X, Level), ArgAbs, N.Abs)) {
           ++FastRejects;
           Dead = true;
         }
       }
-      return A;
+      return Idx;
     }
     case Hypothesis::Kind::ValueHole:
     case Hypothesis::Kind::Filled:
       break;
     }
     assert(false && "table-typed node expected");
-    return std::nullopt;
+    return Idx;
+  }
+
+  /// Decides ψ for \p H: natively when the native decider can, otherwise
+  /// with Z3.
+  bool decide(const HypPtr &H, SpecLevel Level, bool UsePartialEval,
+              DeduceStats &Stats) {
+    Q.clear();
+    Q.Shape = H->shapeHash();
+    bool Dead = false;
+    layOut(H, Level, UsePartialEval, Dead, Stats.FastPathRejections);
+    if (Dead)
+      return false;
+    if (std::optional<bool> V = Native.decide(Q, Level)) {
+      ++Stats.NativeDecisions;
+      return *V;
+    }
+    auto Start = std::chrono::steady_clock::now();
+    if (!Z3)
+      Z3 = std::make_unique<Z3Decider>(*Ex);
+    bool Result = Z3->decide(Q, Level, Stats);
+    Stats.Z3Seconds += secondsSince(Start);
+    return Result;
   }
 };
 
@@ -357,20 +450,22 @@ bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
                              bool UsePartialEval) {
   ++Stats.Calls;
   auto Start = std::chrono::steady_clock::now();
+  auto Finish = [&](bool Result) {
+    Stats.SolverSeconds += secondsSince(Start);
+    if (!Result)
+      ++Stats.Rejections;
+    return Result;
+  };
 
   std::string Key;
   Key.reserve(256);
   Key += Level == SpecLevel::Spec1 ? '1' : '2';
-  bool Alive = P->signature(H, UsePartialEval, Key);
-  if (!Alive || P->VerdictCache.count(Key)) {
+  if (!P->signature(H, UsePartialEval, Key))
+    return Finish(false); // a dead path: rejected, but no cache lookup
+  auto It = P->VerdictCache.find(Key);
+  if (It != P->VerdictCache.end()) {
     ++Stats.CacheHits;
-    bool Result = Alive && P->VerdictCache[Key];
-    Stats.SolverSeconds += std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - Start)
-                               .count();
-    if (!Result)
-      ++Stats.Rejections;
-    return Result;
+    return Finish(It->second);
   }
 
   // The cross-engine store: the query hash folds the canonical sketch
@@ -381,69 +476,16 @@ bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
     QueryHash = mix64(H->shapeHash() ^ hashString(Key));
     if (P->Store->isRefuted(QueryHash)) {
       ++Stats.StoreHits;
-      ++Stats.Rejections;
       P->VerdictCache.emplace(std::move(Key), false);
-      Stats.SolverSeconds += std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - Start)
-                                 .count();
-      return false;
+      return Finish(false);
     }
   }
 
-  bool Dead = false;
-  bool Result = true;
-  {
-    z3::solver &S = P->Solver;
-    uint64_t SessionKey =
-        mix64(H->shapeHash() ^
-              (Level == SpecLevel::Spec1 ? 0x5370656331ULL : 0x5370656332ULL));
-    if (!P->SessionOpen || P->SessionKey != SessionKey) {
-      if (P->SessionOpen) {
-        S.pop();
-        ++Stats.SolverPops;
-      }
-      // Re-using variable names across sessions lets the context cache
-      // the symbol and AST objects instead of growing without bound.
-      P->NextVar = 0;
-      P->Vars.clear();
-      S.push();
-      ++Stats.SolverPushes;
-      size_t Root = P->genShape(S, H, Level, Stats);
-      // ϕout ∧ α(Tout)[y/x]: the root must match the output table; its
-      // group is a fresh positive variable (Appendix A).
-      P->bindConcrete(S, P->Vars[Root], P->Ex->OutputAbs);
-      P->SessionOpen = true;
-      P->SessionKey = SessionKey;
-      ++Stats.SessionBuilds;
-    } else {
-      ++Stats.SessionHits;
-    }
-
-    S.push();
-    ++Stats.SolverPushes;
-    P->ConcreteIdx = 0;
-    P->genConcrete(S, H, Level, UsePartialEval, FastPath, Dead,
-                   Stats.FastPathRejections);
-    if (Dead) {
-      Result = false;
-    } else {
-      ++Stats.SolverChecks;
-      Result = S.check() != z3::unsat;
-    }
-    S.pop();
-    ++Stats.SolverPops;
-  }
+  bool Result = P->decide(H, Level, UsePartialEval, Stats);
   if (!Result && P->Store) {
     P->Store->recordRefuted(QueryHash);
     ++Stats.StoreInserts;
   }
   P->VerdictCache.emplace(std::move(Key), Result);
-  Stats.TemplateCompiles = P->Compiler.compilations();
-  Stats.TemplateHits = P->Compiler.hits();
-  auto End = std::chrono::steady_clock::now();
-  Stats.SolverSeconds +=
-      std::chrono::duration<double>(End - Start).count();
-  if (!Result)
-    ++Stats.Rejections;
-  return Result;
+  return Finish(Result);
 }

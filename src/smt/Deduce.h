@@ -1,4 +1,4 @@
-//===- smt/Deduce.h - SMT-based deduction (Algorithm 2) ---------*- C++ -*-==//
+//===- smt/Deduce.h - Deduction (Algorithm 2) -------------------*- C++ -*-==//
 //
 // Part of the Morpheus reproduction, MIT license.
 //
@@ -10,8 +10,8 @@
 ///
 ///   ψ = Φ(H) ∧ ϕin ∧ ϕout ∧ ⋀ α(Ti)[xi/x] ∧ α(Tout)[y/x]
 ///
-/// (Algorithm 2) over per-node attribute variables and checks its
-/// satisfiability with Z3 under the theory of Linear Integer Arithmetic.
+/// (Algorithm 2) over per-node attribute variables and decides its
+/// satisfiability over the integers (Linear Integer Arithmetic).
 /// UNSAT proves that no completion of the hypothesis can match the example,
 /// so the hypothesis is pruned. Deduction is sound but incomplete: specs
 /// overapproximate, so SAT does not imply a completion exists.
@@ -22,19 +22,28 @@
 /// partially filled sketch of Example 12 without filling the remaining
 /// holes.
 ///
-/// The engine is a thin *session* over the three-tier deduction substrate:
-///  - tier 1, compiled spec templates (smt/SpecCompiler.h): each
-///    component's SpecFormula is encoded to Z3 once per engine and
-///    instantiated by substitution;
-///  - tier 2, incremental shape sessions: ψ splits into a shape-determined
-///    part (Φ(H), axioms, ϕin, ϕout — identical for every partial fill of
-///    one sketch) kept in an outer push/pop scope keyed on
-///    Hypothesis::shapeHash, and a per-call part (the concrete
-///    abstractions partial evaluation conjoins) asserted in an inner
-///    scope, so sibling fills of one sketch reuse the solver state;
-///  - tier 3, the cross-engine RefutationStore (smt/RefutationStore.h):
-///    ⊥ verdicts are consulted before and published after every solver
-///    call, shared across portfolio members and service workers.
+/// Every verdict-cache or refutation-store miss lays ψ out as data (a Psi,
+/// smt/NativeDecide.h) and decides it in one of two ways:
+///  - natively (NativeDecider): each table hole is case-split over the
+///    example's inputs and each case decided exactly over the integers by
+///    a UTVPI closure. Partial evaluation and the input/output bindings
+///    leave nearly every atom of the standard specs with at most two
+///    unknowns, so this settles almost every query;
+///  - by Z3 (Z3Decider), only when some atom is outside that fragment
+///    (three or more unknowns, Min/Max, an attribute named twice) and the
+///    atoms inside it are satisfiable. Specs are data (Definition 2), so
+///    a spec may leave the fragment at any time. The Z3 context, solver,
+///    compiled spec templates (smt/SpecCompiler.h) and ϕin template are
+///    built on the first such query; most solves never build one. Its
+///    shape sessions keep the shape-determined part of ψ (Φ(H), axioms,
+///    ϕin, ϕout) pushed across calls keyed on Psi::Shape, and assert the
+///    partial-evaluation bindings in an inner push/pop scope.
+///
+/// Both decide ψ exactly, so which one answered never changes a verdict.
+/// Around them sit the per-engine verdict cache and the cross-engine
+/// RefutationStore (smt/RefutationStore.h): ⊥ verdicts are consulted
+/// before and published after every decision, shared across portfolio
+/// members and service workers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +51,7 @@
 #define MORPHEUS_SMT_DEDUCE_H
 
 #include "lang/Hypothesis.h"
+#include "smt/NativeDecide.h"
 #include "smt/RefutationStore.h"
 #include "spec/Abstraction.h"
 
@@ -57,6 +67,7 @@ struct DeduceStats {
   uint64_t Rejections = 0;       ///< verdicts that refuted the hypothesis
   uint64_t FastPathRejections = 0;
   uint64_t CacheHits = 0;        ///< per-engine verdict-cache hits
+  uint64_t NativeDecisions = 0;  ///< queries the native decider settled
   uint64_t SolverChecks = 0;     ///< actual Z3 check() invocations
   uint64_t TemplateCompiles = 0; ///< spec formulas compiled to templates
   uint64_t TemplateHits = 0;     ///< template instantiations from cache
@@ -66,13 +77,20 @@ struct DeduceStats {
   uint64_t StoreInserts = 0;     ///< refutations published to the store
   uint64_t SolverPushes = 0;     ///< Z3 push() calls (shape + query scopes)
   uint64_t SolverPops = 0;       ///< Z3 pop() calls
-  double SolverSeconds = 0;
+  double SolverSeconds = 0;      ///< all of deduce()
+  /// The Z3 fallback alone: lazy context build, session, push, check, pop.
+  double Z3Seconds = 0;
+
+  /// Queries actually decided, natively or by Z3: the solver work the
+  /// verdict cache and the refutation store did not absorb.
+  uint64_t decisions() const { return NativeDecisions + SolverChecks; }
 
   DeduceStats &operator+=(const DeduceStats &O) {
     Calls += O.Calls;
     Rejections += O.Rejections;
     FastPathRejections += O.FastPathRejections;
     CacheHits += O.CacheHits;
+    NativeDecisions += O.NativeDecisions;
     SolverChecks += O.SolverChecks;
     TemplateCompiles += O.TemplateCompiles;
     TemplateHits += O.TemplateHits;
@@ -83,13 +101,33 @@ struct DeduceStats {
     SolverPushes += O.SolverPushes;
     SolverPops += O.SolverPops;
     SolverSeconds += O.SolverSeconds;
+    Z3Seconds += O.Z3Seconds;
     return *this;
   }
 };
 
-/// SMT-based deduction engine. Not thread-safe; use one engine per search
-/// thread (Z3 contexts are not shared). The ExampleContext and the
-/// RefutationStore it is wired to ARE shared across engines.
+/// Decides a Psi with Z3, for queries the native decider leaves open. Not
+/// thread-safe (neither is its z3::context).
+class Z3Decider {
+public:
+  explicit Z3Decider(const ExampleContext &Ex);
+  ~Z3Decider();
+
+  Z3Decider(const Z3Decider &) = delete;
+  Z3Decider &operator=(const Z3Decider &) = delete;
+
+  /// true iff ψ is satisfiable (or Z3 cannot tell). Counts session,
+  /// push/pop, check and template work into \p Stats.
+  bool decide(const Psi &Q, SpecLevel Level, DeduceStats &Stats);
+
+private:
+  struct Impl;
+  std::unique_ptr<Impl> P;
+};
+
+/// Deduction engine. Not thread-safe; use one engine per search thread.
+/// The ExampleContext and the RefutationStore it is wired to ARE shared
+/// across engines.
 class DeductionEngine {
 public:
   /// Preferred constructor: \p Ex carries the example and its precomputed
@@ -120,12 +158,6 @@ public:
   /// Drops the evaluation cache (called between sketches to bound memory).
   void clearEvalCache();
 
-  /// Enables a concrete fast path: when a node and all of its table
-  /// children carry concrete abstractions (via partial evaluation), the
-  /// component spec is evaluated directly on integers before falling back
-  /// to Z3. Purely an optimization; used by the ablation benchmark.
-  void setIntervalFastPath(bool Enable) { FastPath = Enable; }
-
   /// Wires this engine to a shared refutation store: ⊥ verdicts of other
   /// engines over the SAME example short-circuit deduce here, and this
   /// engine's ⊥ verdicts are published back. The caller is responsible
@@ -140,7 +172,6 @@ private:
   struct Impl;
   std::unique_ptr<Impl> P;
   DeduceStats Stats;
-  bool FastPath = true;
 };
 
 } // namespace morpheus

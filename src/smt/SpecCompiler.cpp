@@ -10,17 +10,6 @@ using namespace morpheus;
 
 namespace {
 
-bool mentionsGroup(const SpecExpr &E) {
-  switch (E.K) {
-  case SpecExpr::Kind::Const:
-    return false;
-  case SpecExpr::Kind::Attr:
-    return E.Attr == TableAttr::Group;
-  default:
-    return mentionsGroup(*E.Lhs) || mentionsGroup(*E.Rhs);
-  }
-}
-
 z3::expr compileExpr(z3::context &Ctx, const SpecExpr &E,
                      const std::vector<NodeVars> &Args,
                      const NodeVars &Result) {
@@ -129,11 +118,8 @@ SpecTemplate SpecCompiler::compile(const SpecFormula &F,
   NodeVars Result = placeholderNode("$y");
 
   z3::expr_vector Conj(Ctx);
-  for (const SpecAtom &A : F.Atoms) {
+  for (const SpecAtom &A : F.Atoms)
     Conj.push_back(compileAtom(Ctx, A, Args, Result));
-    if (!mentionsGroup(*A.Lhs) && !mentionsGroup(*A.Rhs))
-      T.NonGroup.Atoms.push_back(A);
-  }
   T.Trivial = F.Atoms.empty();
   T.Formula = T.Trivial ? Ctx.bool_val(true) : z3::mk_and(Conj);
   for (const NodeVars &A : Args)

@@ -5,23 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tier 1 of the deduction substrate: per (component, spec level), the
+/// The Z3 fallback's spec encoding: per (component, spec level), the
 /// SpecFormula is compiled ONCE into a Z3 constraint template over fixed
 /// placeholder attribute variables, and every later deduce call merely
 /// *instantiates* the template — a hash-consed Z3_substitute over the
 /// per-node attribute variables — instead of re-walking the SpecExpr tree
 /// and re-encoding atom by atom.
 ///
-/// The compiler also owns the two other per-engine constant encodings the
-/// old DeductionEngine rebuilt on every call:
-///  - the domain axioms of one table node (row >= 0, col >= 1, ...),
-///    compiled once over a placeholder node;
-///  - the group-free projection of each spec (the atoms the concrete fast
-///    path can evaluate directly), cached so the hot fastCheck never
-///    re-filters atoms.
+/// The compiler also owns the domain axioms of one table node (row >= 0,
+/// col >= 1, ...), compiled once over a placeholder node.
 ///
 /// Z3 ASTs are context-bound, so a SpecCompiler is per-context (one per
-/// DeductionEngine); "once" means once per engine lifetime rather than
+/// Z3Decider, which a DeductionEngine builds only for queries outside the
+/// native fragment); "once" means once per decider lifetime rather than
 /// once per process. The compilation itself is keyed on the component
 /// *pointer* — the standard libraries are immutable singletons, so a
 /// pointer identifies (spec formula, level) for the whole process.
@@ -73,9 +69,6 @@ struct SpecTemplate {
   z3::expr_vector Params;
   /// No atoms — instantiate() callers can skip the solver assert.
   bool Trivial = true;
-  /// The group-free atoms of the source formula, for the concrete fast
-  /// path (the group attribute is abstract and never concretely known).
-  SpecFormula NonGroup;
 
   SpecTemplate(z3::context &Ctx) : Formula(Ctx), Params(Ctx) {}
 

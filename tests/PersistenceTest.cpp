@@ -377,6 +377,8 @@ TEST_F(PersistenceTest, WarmStateRoundTripsCacheAndRefutations) {
   Solved.Seconds = 1.25;
   Solved.Stats.HypothesesExplored = 77;
   Solved.Stats.Deduce.SolverChecks = 13;
+  Solved.Stats.Deduce.NativeDecisions = 211;
+  Solved.Stats.Deduce.Z3Seconds = 0.375;
   Solution TimedOut;
   TimedOut.Result = Outcome::Timeout;
   TimedOut.Seconds = 1.0;
@@ -405,6 +407,8 @@ TEST_F(PersistenceTest, WarmStateRoundTripsCacheAndRefutations) {
   EXPECT_EQ(Back->Seconds, 1.25);
   EXPECT_EQ(Back->Stats.HypothesesExplored, 77u);
   EXPECT_EQ(Back->Stats.Deduce.SolverChecks, 13u);
+  EXPECT_EQ(Back->Stats.Deduce.NativeDecisions, 211u);
+  EXPECT_EQ(Back->Stats.Deduce.Z3Seconds, 0.375);
   ASSERT_TRUE(Back->Program);
   EXPECT_EQ(printSexp(Back->Program), printSexp(Solved.Program));
   Back = Cache2.lookup(222);

@@ -14,8 +14,9 @@
 ///     identical solved set AND byte-identical programs, zero engine runs;
 ///  2. a third pass whose problems fingerprint differently (a changed
 ///     timeout) must actually re-solve — and the restored RefutationStore
-///     scopes then short-circuit Z3: StoreHits > 0 and strictly fewer
-///     solver checks than the cold pass on the comfortably solved tasks.
+///     scopes then short-circuit deduction: StoreHits > 0 and strictly
+///     fewer solver decisions (native and Z3) than the cold pass on the
+///     comfortably solved tasks.
 ///
 /// The two component libraries (tidy/dplyr and SQL-relevant) get separate
 /// state subdirectories: the compat key is per-library by design.
@@ -146,14 +147,14 @@ TEST(WarmRestart, GoldenParityAcrossAllTasks) {
   // timeout, so these are cache misses that genuinely re-run the engine —
   // seeded with every refutation the cold pass derived. The search must
   // visibly lean on the store, and the warm re-solves of the tasks the
-  // cold pass solved comfortably must need strictly fewer Z3 checks in
-  // total than the cold pass spent on them.
+  // cold pass solved comfortably must need strictly fewer solver
+  // decisions (native and Z3) in total than the cold pass spent on them.
   PassStats Reheat;
   std::map<std::string, Row> ReheatRows =
       runPass(Root, TimeoutMs + TimeoutMs / 2, &Reheat);
   EXPECT_EQ(Reheat.CacheHits, 0u);
   EXPECT_GT(Reheat.RefutationKeysLoaded, 0u);
-  uint64_t StoreHits = 0, ColdChecks = 0, ReheatChecks = 0;
+  uint64_t StoreHits = 0, ColdDecisions = 0, ReheatDecisions = 0;
   size_t Compared = 0;
   for (const auto &Entry : ColdRows) {
     const Row &C = Entry.second;
@@ -163,14 +164,14 @@ TEST(WarmRestart, GoldenParityAcrossAllTasks) {
       continue;
     // A comfortably solved task stays solved with a larger budget.
     EXPECT_TRUE(R.Solved) << Entry.first;
-    ColdChecks += C.Deduce.SolverChecks;
-    ReheatChecks += R.Deduce.SolverChecks;
+    ColdDecisions += C.Deduce.decisions();
+    ReheatDecisions += R.Deduce.decisions();
     ++Compared;
   }
   ASSERT_GT(Compared, 0u);
   EXPECT_GT(StoreHits, 0u);
-  EXPECT_LT(ReheatChecks, ColdChecks)
-      << "warm refutations should prune Z3 checks on " << Compared
+  EXPECT_LT(ReheatDecisions, ColdDecisions)
+      << "warm refutations should prune solver decisions on " << Compared
       << " comfortable tasks";
 }
 

@@ -457,8 +457,11 @@ JsonValue benchSnapshot(const std::string &SuiteName,
                                     : 0));
   JsonValue D = JsonValue::object();
   D.set("calls", JsonValue::number(double(TotalDeduce.Calls)));
+  D.set("native_decisions",
+        JsonValue::number(double(TotalDeduce.NativeDecisions)));
   D.set("solver_checks",
         JsonValue::number(double(TotalDeduce.SolverChecks)));
+  D.set("z3_seconds", JsonValue::number(TotalDeduce.Z3Seconds));
   D.set("cache_hits", JsonValue::number(double(TotalDeduce.CacheHits)));
   D.set("template_compiles",
         JsonValue::number(double(TotalDeduce.TemplateCompiles)));
@@ -643,10 +646,12 @@ int runBench(ArgReader &Args) {
   std::printf("engine seconds %.2f (sum), wall seconds %.2f\n",
               Agg.ElapsedSeconds, SumWall);
   const DeduceStats &D = Agg.Deduce;
-  std::printf("deduce: %llu calls, %llu solver checks, %llu cache hits, "
+  std::printf("deduce: %llu calls, %llu native decisions, %llu solver "
+              "checks, %llu cache hits, "
               "%llu store hits, %llu session hits, %llu template hits, "
               "%llu/%llu pushes/pops\n",
               (unsigned long long)D.Calls,
+              (unsigned long long)D.NativeDecisions,
               (unsigned long long)D.SolverChecks,
               (unsigned long long)D.CacheHits,
               (unsigned long long)D.StoreHits,
@@ -654,6 +659,11 @@ int runBench(ArgReader &Args) {
               (unsigned long long)D.TemplateHits,
               (unsigned long long)D.SolverPushes,
               (unsigned long long)D.SolverPops);
+  std::printf("z3 share: %.3fs of %.2fs in deduce, %.1f%% of engine "
+              "seconds\n",
+              D.Z3Seconds, D.SolverSeconds,
+              Agg.ElapsedSeconds > 0 ? 100.0 * D.Z3Seconds / Agg.ElapsedSeconds
+                                     : 0.0);
 
   if (SvcStats) {
     // One greppable line for the CI warm-restart smoke: a second run over
