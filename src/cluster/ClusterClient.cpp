@@ -10,7 +10,6 @@
 #include "io/Json.h"
 #include "io/ProblemIO.h"
 #include "io/ProgramIO.h"
-#include "service/Fingerprint.h"
 #include "service/WarmState.h"
 
 #include <algorithm>
@@ -20,75 +19,11 @@ using namespace morpheus;
 using std::chrono::steady_clock;
 
 namespace {
-/// How long a job refused by the full local queue waits before retrying
-/// the submission (the local service drains continuously; the retry is a
-/// poll, not a backoff ladder).
-constexpr int LocalRetryMs = 50;
+/// Remote delivery attempts before a job fails back to the local pool.
+constexpr int MaxAttempts = 3;
+constexpr int ReconnectBackoffMaxMs = 5000;
+constexpr size_t BacklogPerWorker = 256;
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// ClusterJob
-//===----------------------------------------------------------------------===//
-
-struct ClusterJob::State {
-  mutable Mutex M;
-  mutable CondVar CV;
-  bool Done GUARDED_BY(M) = false;
-  Solution Res GUARDED_BY(M);
-  std::string Source GUARDED_BY(M);
-  double QueueMs GUARDED_BY(M) = -1;
-  double SolveMs GUARDED_BY(M) = -1;
-  int Worker GUARDED_BY(M) = -1;
-  int Attempts GUARDED_BY(M) = 0;
-  ClusterClient *Owner = nullptr; ///< const after construction
-  uint64_t ReqId = 0;             ///< const after construction
-};
-
-const Solution &ClusterJob::get() const {
-  State &S = *St;
-  UniqueLock Lock(S.M);
-  S.CV.wait(Lock, [&S] { return S.Done; });
-  return S.Res;
-}
-
-bool ClusterJob::waitFor(std::chrono::milliseconds Timeout) const {
-  State &S = *St;
-  UniqueLock Lock(S.M);
-  return S.CV.wait_for(Lock, Timeout, [&S] { return S.Done; });
-}
-
-void ClusterJob::cancel() const {
-  if (!St)
-    return;
-  ClusterClient *O = St->Owner;
-  uint64_t Id = St->ReqId;
-  O->Loop.post([O, Id] { O->cancelReq(Id); });
-}
-
-std::string ClusterJob::source() const {
-  MutexLock Lock(St->M);
-  return St->Source;
-}
-
-double ClusterJob::queueMs() const {
-  MutexLock Lock(St->M);
-  return St->QueueMs;
-}
-
-double ClusterJob::solveMs() const {
-  MutexLock Lock(St->M);
-  return St->SolveMs;
-}
-
-int ClusterJob::worker() const {
-  MutexLock Lock(St->M);
-  return St->Worker;
-}
-
-int ClusterJob::attempts() const {
-  MutexLock Lock(St->M);
-  return St->Attempts;
-}
 
 //===----------------------------------------------------------------------===//
 // Internal state
@@ -111,10 +46,10 @@ struct ClusterClient::Link {
   int Fd = -1;
   FrameDecoder Dec;
   std::string OutBuf;
-  /// Req ids sent and awaiting a Result/Error (the in-flight cap counts
+  /// Job ids sent and awaiting a Result/Error (the in-flight cap counts
   /// these).
   std::vector<uint64_t> Outstanding;
-  /// Req ids routed here but not yet sent (cap reached, or still
+  /// Job ids routed here but not yet sent (cap reached, or still
   /// connecting).
   std::deque<uint64_t> Backlog;
   int BackoffMs = 0;
@@ -123,24 +58,14 @@ struct ClusterClient::Link {
   std::string Name;          ///< announced in the HelloAck
 };
 
-/// One routed job. Loop-thread confined except the shared completion
-/// State the handle watches.
+/// One job the front door handed over. Loop-thread confined; the wire
+/// request id is the job's id.
 struct ClusterClient::RJob {
-  uint64_t ReqId = 0;
-  std::shared_ptr<ClusterJob::State> St;
-  Problem Prob;         ///< kept for local fail-back
-  std::string ProbJson; ///< serialized once, on the submitting thread
-  uint64_t Fp = 0;
-  int Priority = 0;
-  std::optional<steady_clock::time_point> Deadline;
-  std::chrono::milliseconds DeadlineBudget{0};
+  RemoteJob Job;
+  std::string ProbJson;    ///< serialized at the first send
   int Attempts = 0;        ///< remote deliveries consumed
   int AssignedWorker = -1; ///< link holding it (outstanding or backlog)
   bool SentRemote = false; ///< on AssignedWorker's Outstanding list
-  bool Local = false;      ///< handed to the local service
-  JobHandle LocalHandle;
-  uint64_t DeadlineTimer = 0;   ///< grace timer; 0 = none
-  uint64_t LocalRetryTimer = 0; ///< full-local-queue retry; 0 = none
 };
 
 static void eraseValue(std::vector<uint64_t> &V, uint64_t X) {
@@ -155,19 +80,16 @@ static void eraseValue(std::deque<uint64_t> &D, uint64_t X) {
 // Construction / destruction
 //===----------------------------------------------------------------------===//
 
-ClusterClient::ClusterClient(ComponentLibrary LibIn, EngineOptions EOptsIn,
-                             ServiceOptions SOpts, ClusterOptions COptsIn)
-    : Lib(std::move(LibIn)), EOpts(std::move(EOptsIn)),
-      COpts(std::move(COptsIn)),
-      Ring(unsigned(COpts.Workers.size()), COpts.VirtualNodes) {
-  OptionsDigest = clusterOptionsDigest(EOpts);
-  CompatKey = warmStateCompatKey(Lib, EOpts.config());
-  Eng = std::make_unique<Engine>(Lib, EOpts);
+ClusterClient::ClusterClient(SynthService &FrontIn, ClusterOptions COptsIn)
+    : Front(FrontIn), COpts(std::move(COptsIn)),
+      Ring(unsigned(COpts.Workers.size())) {
+  const Engine &E = Front.engine();
+  OptionsDigest = clusterOptionsDigest(E.options());
+  CompatKey = warmStateCompatKey(E.library(), E.options().config());
   {
     MutexLock Lock(StatsM);
     Counters.PerWorkerForwarded.assign(COpts.Workers.size(), 0);
   }
-  LocalSvc = std::make_unique<SynthService>(*Eng, SOpts);
 
   Links.reserve(COpts.Workers.size());
   for (size_t I = 0; I != COpts.Workers.size(); ++I) {
@@ -182,25 +104,27 @@ ClusterClient::ClusterClient(ComponentLibrary LibIn, EngineOptions EOptsIn,
       connectLink(*L);
   });
   LoopThread = std::thread([this] { Loop.run(); });
+  Front.attachRemote(this);
+}
+
+ClusterClient::ClusterClient(ComponentLibrary Lib, EngineOptions EOpts,
+                             ServiceOptions SOpts, ClusterOptions COpts)
+    : ClusterClient(std::make_unique<SynthService>(
+                        Engine(std::move(Lib), std::move(EOpts)), SOpts),
+                    std::move(COpts)) {}
+
+ClusterClient::ClusterClient(std::unique_ptr<SynthService> Owned,
+                             ClusterOptions COpts)
+    : ClusterClient(*Owned, std::move(COpts)) {
+  OwnedFront = std::move(Owned);
 }
 
 ClusterClient::~ClusterClient() {
   ShuttingDown.store(true);
+  // From here the front door takes no answer from this client: what is
+  // still out is back in its queue.
+  Front.attachRemote(nullptr);
   Loop.post([this] {
-    // Complete every pending handle: a blocked get() must not outlive the
-    // client. Local handles are cancelled too, freeing service slots.
-    std::vector<std::shared_ptr<RJob>> Pending;
-    Pending.reserve(Jobs.size());
-    for (auto &KV : Jobs)
-      Pending.push_back(KV.second);
-    for (auto &J : Pending) {
-      if (J->Local && J->LocalHandle.valid())
-        J->LocalHandle.cancel();
-      Solution S;
-      S.Result = Outcome::Cancelled;
-      if (Jobs.count(J->ReqId))
-        completeJob(*J, std::move(S), "shutdown", -1, -1, -1);
-    }
     for (auto &L : Links) {
       if (L->Fd >= 0) {
         Loop.removeFd(L->Fd);
@@ -211,63 +135,63 @@ ClusterClient::~ClusterClient() {
     Loop.stop();
   });
   LoopThread.join();
-  // The local service dies next (member order), before the loop its
-  // continuations post to; those posts land in a stopped loop and are
-  // dropped with it.
 }
 
 //===----------------------------------------------------------------------===//
-// Submission
+// Jobs from the front door
 //===----------------------------------------------------------------------===//
 
-ClusterJob ClusterClient::submit(Problem P, JobRequest R) {
-  auto St = std::make_shared<ClusterJob::State>();
-  St->Owner = this;
-  St->ReqId = NextReqId.fetch_add(1, std::memory_order_relaxed);
+void ClusterClient::dispatch(RemoteJob Job) {
+  Loop.post([this, Job = std::move(Job)] {
+    auto J = std::make_shared<RJob>();
+    J->Job = Job;
+    Jobs.emplace(Job.id(), J);
+    routeJob(*J);
+  });
+}
 
-  auto J = std::make_shared<RJob>();
-  J->ReqId = St->ReqId;
-  J->St = St;
-  // Fingerprint and serialize on the submitting thread: both walk the
-  // whole problem, and the loop thread must stay cheap.
-  J->Fp = problemFingerprint(P, EOpts);
-  J->ProbJson = problemToJson(P).dump();
-  J->Prob = std::move(P);
-  J->Priority = R.priority();
-  if (R.deadline().count() > 0) {
-    J->DeadlineBudget = R.deadline();
-    J->Deadline = steady_clock::now() + R.deadline();
+void ClusterClient::stop(uint64_t Id) {
+  Loop.post([this, Id] { stopJob(Id); });
+}
+
+void ClusterClient::stopJob(uint64_t Id) {
+  auto It = Jobs.find(Id);
+  if (It == Jobs.end())
+    return; // already answered or failed back
+  std::shared_ptr<RJob> J = It->second;
+  int Worker = J->SentRemote ? J->AssignedWorker : -1;
+  forget(*J);
+  // Past its propagated deadline the shard is stopping the solve itself;
+  // a Cancel would only race it.
+  auto Deadline = J->Job.deadline();
+  if (Worker < 0 || (Deadline && steady_clock::now() >= *Deadline))
+    return;
+  Link &L = *Links[size_t(Worker)];
+  if (L.St != Link::Phase::Up)
+    return;
+  WireMessage C;
+  C.Type = MsgType::Cancel;
+  C.ReqId = Id;
+  L.OutBuf += encodeFrame(encodeMessage(C));
+  flushLink(L);
+}
+
+void ClusterClient::forget(RJob &J) {
+  if (J.AssignedWorker >= 0) {
+    Link &L = *Links[size_t(J.AssignedWorker)];
+    eraseValue(L.Outstanding, J.Job.id());
+    eraseValue(L.Backlog, J.Job.id());
   }
+  Jobs.erase(J.Job.id()); // J dangles past this line
+}
+
+void ClusterClient::failBack(RJob &J) {
   {
     MutexLock Lock(StatsM);
-    ++Counters.Submitted;
+    ++Counters.LocalSolves;
   }
-
-  if (ShuttingDown.load()) {
-    MutexLock Lock(St->M);
-    St->Res.Result = Outcome::Cancelled;
-    St->Source = "shutdown";
-    St->Done = true;
-    St->CV.notify_all();
-    return ClusterJob(St);
-  }
-
-  Loop.post([this, J] {
-    RJob &Ref = *J;
-    Jobs.emplace(Ref.ReqId, J);
-    if (Ref.Deadline) {
-      auto Now = steady_clock::now();
-      int64_t Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                       *Ref.Deadline - Now)
-                       .count() +
-                   COpts.DeadlineGraceMs;
-      Ref.DeadlineTimer =
-          Loop.addTimer(std::max<int64_t>(Ms, 0),
-                        [this, Id = Ref.ReqId] { onDeadline(Id); });
-    }
-    routeJob(Ref);
-  });
-  return ClusterJob(St);
+  J.Job.failBack(J.Attempts);
+  forget(J);
 }
 
 //===----------------------------------------------------------------------===//
@@ -277,8 +201,8 @@ ClusterJob ClusterClient::submit(Problem P, JobRequest R) {
 void ClusterClient::routeJob(RJob &J) {
   J.SentRemote = false;
   J.AssignedWorker = -1;
-  if (!Links.empty() && J.Attempts < int(COpts.MaxAttempts)) {
-    std::vector<int> Order = Ring.walk(J.Fp, Links.size());
+  if (!Links.empty() && J.Attempts < MaxAttempts) {
+    std::vector<int> Order = Ring.walk(J.Job.fingerprint(), Links.size());
     Link *BacklogTo = nullptr;
     for (int W : Order) {
       Link &L = *Links[size_t(W)];
@@ -291,7 +215,7 @@ void ClusterClient::routeJob(RJob &J) {
           sendSolve(L, J);
           return;
         }
-        if (!BacklogTo && L.Backlog.size() < COpts.BacklogPerWorker)
+        if (!BacklogTo && L.Backlog.size() < BacklogPerWorker)
           BacklogTo = &L; // its cap will free as results return
         continue;
       case Link::Phase::Connecting:
@@ -299,50 +223,48 @@ void ClusterClient::routeJob(RJob &J) {
         // Plausible soon: park the job here rather than solving it
         // locally the moment the cluster starts up. A failed connect
         // reroutes the backlog (linkFailed), so nothing is stranded.
-        if (!BacklogTo && L.Backlog.size() < COpts.BacklogPerWorker)
+        if (!BacklogTo && L.Backlog.size() < BacklogPerWorker)
           BacklogTo = &L;
         continue;
       }
     }
     if (BacklogTo) {
       J.AssignedWorker = BacklogTo->Index;
-      BacklogTo->Backlog.push_back(J.ReqId);
+      BacklogTo->Backlog.push_back(J.Job.id());
       return;
     }
   }
-  submitLocal(J);
+  failBack(J);
 }
 
 void ClusterClient::sendSolve(Link &L, RJob &J) {
   uint64_t DeadlineMs = 0;
-  if (J.Deadline) {
+  if (auto Deadline = J.Job.deadline()) {
     auto Now = steady_clock::now();
-    if (Now >= *J.Deadline) {
-      // The budget died in a backlog / on a failed link: complete as the
-      // timeout it is instead of burning a worker on it.
-      Solution S;
-      S.Result = Outcome::Timeout;
-      S.Seconds = double(J.DeadlineBudget.count()) / 1000.0;
-      {
-        MutexLock Lock(StatsM);
-        ++Counters.DeadlineExpired;
-      }
-      completeJob(J, std::move(S), "deadline", -1, -1, -1);
+    if (Now >= *Deadline) {
+      // The budget died in a backlog / on a failed link: the front
+      // door's reaper answers (or already answered) its waiters, so
+      // burning a worker on it helps nobody.
+      forget(J);
       return;
     }
     // The worker's reaper enforces the remaining budget, measured from
     // *its* submission — queue time already spent here is subtracted.
     DeadlineMs = uint64_t(std::chrono::duration_cast<std::chrono::milliseconds>(
-                              *J.Deadline - Now)
+                              *Deadline - Now)
                               .count());
     if (DeadlineMs == 0)
       DeadlineMs = 1;
   }
+  // Serialized here, once: it walks the whole problem, and the submitting
+  // thread holds the service mutex while it hands the job over.
+  if (J.ProbJson.empty())
+    J.ProbJson = problemToJson(J.Job.problem()).dump();
 
   ++J.Attempts;
   J.SentRemote = true;
   J.AssignedWorker = L.Index;
-  L.Outstanding.push_back(J.ReqId);
+  L.Outstanding.push_back(J.Job.id());
   {
     MutexLock Lock(StatsM);
     ++Counters.Forwarded;
@@ -351,179 +273,14 @@ void ClusterClient::sendSolve(Link &L, RJob &J) {
 
   WireMessage M;
   M.Type = MsgType::Solve;
-  M.ReqId = J.ReqId;
-  M.Priority = J.Priority;
+  M.ReqId = J.Job.id();
+  M.Priority = J.Job.priority();
   M.DeadlineMs = DeadlineMs;
   M.ProblemJson = J.ProbJson;
   L.OutBuf += encodeFrame(encodeMessage(M));
   // May fail and reroute J (and everything else on L) via linkFailed — no
   // touching J past this point.
   flushLink(L);
-}
-
-void ClusterClient::submitLocal(RJob &J) {
-  J.SentRemote = false;
-  J.AssignedWorker = -1;
-  JobRequest R;
-  R.priority(J.Priority);
-  if (J.Deadline) {
-    auto Now = steady_clock::now();
-    if (Now >= *J.Deadline) {
-      Solution S;
-      S.Result = Outcome::Timeout;
-      S.Seconds = double(J.DeadlineBudget.count()) / 1000.0;
-      {
-        MutexLock Lock(StatsM);
-        ++Counters.DeadlineExpired;
-      }
-      completeJob(J, std::move(S), "deadline", -1, -1, -1);
-      return;
-    }
-    R.deadline(std::chrono::duration_cast<std::chrono::milliseconds>(
-        *J.Deadline - Now));
-  }
-  // trySubmit: a full queue must not block the loop thread. Retry on a
-  // short timer — deadline shedding stays correct because the grace timer
-  // (and the deadline re-check above) keeps running meanwhile.
-  std::optional<JobHandle> H = LocalSvc->trySubmit(J.Prob, R);
-  if (!H) {
-    J.LocalRetryTimer = Loop.addTimer(LocalRetryMs, [this, Id = J.ReqId] {
-      auto It = Jobs.find(Id);
-      if (It == Jobs.end())
-        return;
-      It->second->LocalRetryTimer = 0;
-      submitLocal(*It->second);
-    });
-    return;
-  }
-  J.Local = true;
-  J.LocalHandle = *H;
-  {
-    MutexLock Lock(StatsM);
-    ++Counters.LocalSolves;
-  }
-  // Answered on the loop thread, by request id: a job completed or
-  // cancelled meanwhile is gone from Jobs, and the post finds nothing.
-  H->onDone([this, Id = J.ReqId] {
-    Loop.post([this, Id] {
-      auto It = Jobs.find(Id);
-      if (It != Jobs.end())
-        completeFromLocal(*It->second);
-    });
-  });
-}
-
-void ClusterClient::completeFromLocal(RJob &J) {
-  Solution S = J.LocalHandle.get(); // Done: returns immediately
-  std::string Source(resultSourceName(J.LocalHandle.source()));
-  double QMs = J.LocalHandle.queueMs();
-  double SMs = J.LocalHandle.solveMs();
-  completeJob(J, std::move(S), std::move(Source), QMs, SMs, /*Worker=*/-1);
-}
-
-void ClusterClient::completeJob(RJob &J, Solution S, std::string Source,
-                                double QueueMs, double SolveMs, int Worker) {
-  if (J.DeadlineTimer) {
-    Loop.cancelTimer(J.DeadlineTimer);
-    J.DeadlineTimer = 0;
-  }
-  if (J.LocalRetryTimer) {
-    Loop.cancelTimer(J.LocalRetryTimer);
-    J.LocalRetryTimer = 0;
-  }
-  detachFromLink(J);
-  std::shared_ptr<ClusterJob::State> St = J.St;
-  int Attempts = J.Attempts;
-  Jobs.erase(J.ReqId); // J may dangle past this line
-  {
-    MutexLock Lock(St->M);
-    if (!St->Done) {
-      St->Res = std::move(S);
-      St->Source = std::move(Source);
-      St->QueueMs = QueueMs;
-      St->SolveMs = SolveMs;
-      St->Worker = Worker;
-      St->Attempts = Attempts;
-      St->Done = true;
-    }
-  }
-  St->CV.notify_all();
-}
-
-void ClusterClient::detachFromLink(RJob &J) {
-  if (J.AssignedWorker < 0)
-    return;
-  Link &L = *Links[size_t(J.AssignedWorker)];
-  eraseValue(L.Outstanding, J.ReqId);
-  eraseValue(L.Backlog, J.ReqId);
-  J.AssignedWorker = -1;
-  J.SentRemote = false;
-}
-
-//===----------------------------------------------------------------------===//
-// Timers
-//===----------------------------------------------------------------------===//
-
-void ClusterClient::onDeadline(uint64_t ReqId) {
-  auto It = Jobs.find(ReqId);
-  if (It == Jobs.end())
-    return;
-  std::shared_ptr<RJob> J = It->second;
-  J->DeadlineTimer = 0;
-  // Grace expired past the deadline: the shard holding the job is hung or
-  // unreachable-but-undetected. Tell it to stop (best effort) and answer
-  // the caller — the deadline contract beats the lost work.
-  if (J->SentRemote && J->AssignedWorker >= 0) {
-    Link &L = *Links[size_t(J->AssignedWorker)];
-    if (L.St == Link::Phase::Up) {
-      WireMessage C;
-      C.Type = MsgType::Cancel;
-      C.ReqId = ReqId;
-      L.OutBuf += encodeFrame(encodeMessage(C));
-      flushLink(L); // may fail the link and reroute J...
-    }
-  }
-  if (!Jobs.count(ReqId))
-    return; // ...and a reroute may even have completed it
-  if (J->Local && J->LocalHandle.valid())
-    J->LocalHandle.cancel();
-  Solution S;
-  S.Result = Outcome::Timeout;
-  S.Seconds = double(J->DeadlineBudget.count()) / 1000.0;
-  {
-    MutexLock Lock(StatsM);
-    ++Counters.DeadlineExpired;
-  }
-  completeJob(*J, std::move(S), "deadline", -1, -1,
-              J->SentRemote ? J->AssignedWorker : -1);
-}
-
-void ClusterClient::cancelReq(uint64_t ReqId) {
-  auto It = Jobs.find(ReqId);
-  if (It == Jobs.end())
-    return; // already completed
-  std::shared_ptr<RJob> J = It->second;
-  if (J->SentRemote && J->AssignedWorker >= 0) {
-    Link &L = *Links[size_t(J->AssignedWorker)];
-    if (L.St == Link::Phase::Up) {
-      WireMessage C;
-      C.Type = MsgType::Cancel;
-      C.ReqId = ReqId;
-      L.OutBuf += encodeFrame(encodeMessage(C));
-      flushLink(L);
-    }
-  }
-  if (!Jobs.count(ReqId))
-    return;
-  if (J->Local && J->LocalHandle.valid())
-    J->LocalHandle.cancel();
-  Solution S;
-  S.Result = Outcome::Cancelled;
-  {
-    MutexLock Lock(StatsM);
-    ++Counters.Cancelled;
-  }
-  completeJob(*J, std::move(S), "cancelled", -1, -1, -1);
 }
 
 //===----------------------------------------------------------------------===//
@@ -575,7 +332,7 @@ void ClusterClient::scheduleReconnect(Link &L) {
   if (ShuttingDown.load() || L.St == Link::Phase::Refused || L.RetryTimer)
     return;
   int Delay = L.BackoffMs;
-  L.BackoffMs = std::min(L.BackoffMs * 2, COpts.ReconnectBackoffMaxMs);
+  L.BackoffMs = std::min(L.BackoffMs * 2, ReconnectBackoffMaxMs);
   L.RetryTimer = Loop.addTimer(Delay, [this, Idx = L.Index] {
     Link &T = *Links[size_t(Idx)];
     T.RetryTimer = 0;
@@ -737,7 +494,7 @@ void ClusterClient::linkFailed(Link &L, const char *) {
   }
 
   // Reroute every job this link held. Attempts were counted at send time,
-  // so a job bounced off enough dead links lands on the local service.
+  // so a job bounced off enough dead links fails back to the local pool.
   for (uint64_t Id : Orphans) {
     auto It = Jobs.find(Id);
     if (It == Jobs.end())
@@ -778,7 +535,7 @@ void ClusterClient::pumpBacklog(Link &L) {
     L.Backlog.pop_front();
     auto It = Jobs.find(Id);
     if (It == Jobs.end())
-      continue; // completed (deadline, cancel) while parked
+      continue; // stopped or dropped while parked
     sendSolve(L, *It->second); // may fail the link; the loop guard exits
   }
 }
@@ -804,8 +561,9 @@ void ClusterClient::handleResult(Link &L, const WireMessage &M) {
 
   // An out-of-range outcome is garbage; an unsolicited Cancelled is a
   // worker giving up for its own reasons (e.g. its shutdown path) — the
-  // coordinator completes its own cancels before any Result could land
-  // here, so this job still wants an answer. Both fail over.
+  // coordinator forgets a job before cancelling it, so no Result for its
+  // own cancels lands here and this job still wants an answer. Both fail
+  // over.
   bool Bad = M.OutcomeCode > uint32_t(Outcome::Exhausted) ||
              M.OutcomeCode == uint32_t(Outcome::Cancelled);
   Solution S;
@@ -816,22 +574,19 @@ void ClusterClient::handleResult(Link &L, const WireMessage &M) {
     S.Stats.CandidatesChecked = M.Candidates;
     if (!M.Program.empty()) {
       std::string Err;
-      S.Program = parseSexp(M.Program, Lib, &Err);
+      S.Program = parseSexp(M.Program, Front.engine().library(), &Err);
       if (!S.Program && S.Result == Outcome::Solved)
         Bad = true; // "solved" but the program does not parse
     }
   }
   if (Bad) {
     // The shard answered garbage; trust nothing from it for this job and
-    // solve locally (skipping further remote attempts).
+    // fail it back (skipping further remote attempts).
     {
       MutexLock Lock(StatsM);
       ++Counters.RemoteErrors;
     }
-    J->Attempts = int(COpts.MaxAttempts);
-    J->SentRemote = false;
-    J->AssignedWorker = -1;
-    routeJob(*J);
+    failBack(*J);
     pumpBacklog(L);
     return;
   }
@@ -840,7 +595,8 @@ void ClusterClient::handleResult(Link &L, const WireMessage &M) {
     MutexLock Lock(StatsM);
     ++Counters.RemoteCompleted;
   }
-  completeJob(*J, std::move(S), M.Source, M.QueueMs, M.SolveMs, L.Index);
+  J->Job.complete(S, L.Index, J->Attempts);
+  forget(*J);
   pumpBacklog(L);
 }
 
@@ -858,15 +614,12 @@ void ClusterClient::handleRemoteError(Link &L, const WireMessage &M) {
   }
   // A worker-side refusal ("queue full", "bad problem") is not a link
   // failure — the connection stays up — but re-sending the same bytes is
-  // pointless, so the job goes straight to the local service.
+  // pointless, so the job fails straight back to the local pool.
   {
     MutexLock Lock(StatsM);
     ++Counters.RemoteErrors;
   }
-  J->Attempts = int(COpts.MaxAttempts);
-  J->SentRemote = false;
-  J->AssignedWorker = -1;
-  routeJob(*J);
+  failBack(*J);
   pumpBacklog(L);
 }
 
@@ -875,8 +628,11 @@ void ClusterClient::handleRemoteError(Link &L, const WireMessage &M) {
 //===----------------------------------------------------------------------===//
 
 ClusterStats ClusterClient::stats() const {
+  uint64_t Submitted = Front.stats().Submitted;
   MutexLock Lock(StatsM);
-  return Counters;
+  ClusterStats S = Counters;
+  S.Submitted = Submitted;
+  return S;
 }
 
 bool ClusterClient::waitForWorkers(unsigned N,

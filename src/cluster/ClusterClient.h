@@ -5,13 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The coordinator of the cluster tier: accepts jobs like a SynthService,
-/// consistent-hashes them by problem fingerprint across worker nodes
-/// (cluster/WorkerNode.h, spoken to over net/Wire.h), and falls back to a
-/// local SynthService when no shard can take a job. Because placement is
-/// by fingerprint, every repeated or sibling problem lands on the worker
-/// that already holds its ResultCache entry, refutation scope and durable
-/// warm state — the per-process caches become one cluster-wide tier.
+/// The cluster tier of a coordinator. A coordinator is one SynthService
+/// (the front door: cache, single flight, deadlines, cancellation,
+/// completion) with a ClusterClient attached as its RemoteTier: every miss
+/// the service neither answers from cache nor coalesces comes here, is
+/// consistent-hashed by the service's problem fingerprint across worker
+/// nodes (cluster/WorkerNode.h, spoken to over net/Wire.h), and is
+/// answered back into the service. Because placement is by fingerprint,
+/// every repeated or sibling problem the front door's cache has lost
+/// lands on the worker that holds its ResultCache entry, refutation scope
+/// and durable warm state.
 ///
 /// Scheduling/fault model (all decisions on one EventLoop thread):
 ///  - routing walks the hash ring from the fingerprint's owner: the first
@@ -22,12 +25,14 @@
 ///  - a link failure — connect refusal, EOF, frame corruption — reroutes
 ///    everything outstanding or backlogged on it (attempt counter
 ///    incremented) and schedules a reconnect with exponential backoff;
-///    after MaxAttempts remote tries a job is solved locally;
-///  - when every shard for a job is unavailable, the local service solves
-///    it (fail-back, never failure);
-///  - deadlines propagate: the Solve frame carries the remaining budget,
-///    the worker's own reaper enforces it, and a coordinator-side timer
-///    at deadline+grace catches links that hang without dying.
+///    after three remote tries a job fails back to the service's own pool;
+///  - when every shard for a job is unavailable, the job fails back too
+///    (fail-back, never failure);
+///  - deadlines propagate: the Solve frame carries the remaining budget
+///    and the worker's own reaper enforces it. The service's reaper
+///    answers the caller at the deadline itself; a job nobody waits for
+///    any more is cancelled on its shard, unless its propagated deadline
+///    has passed and the shard is already stopping it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,83 +59,71 @@ struct ClusterOptions {
   /// its backlog. Sized to keep a worker's pool busy without burying a
   /// slow shard: the worker also has its own queue behind this.
   unsigned MaxInflightPerWorker = 8;
-  /// Remote delivery attempts before a job falls back to local solving.
-  unsigned MaxAttempts = 3;
-  unsigned VirtualNodes = 64; ///< ring points per worker
   int ConnectTimeoutMs = 2000;
-  int ReconnectBackoffMs = 100;    ///< initial; doubles per failure
-  int ReconnectBackoffMaxMs = 5000;
-  /// Extra wall-clock past a job's deadline before the coordinator stops
-  /// waiting for a (possibly hung) worker and completes it as Timeout.
-  int DeadlineGraceMs = 2000;
-  size_t BacklogPerWorker = 256;
+  int ReconnectBackoffMs = 100; ///< initial; doubles per failure, to 5 s
 };
 
 /// Aggregate coordinator counters (monotonic since construction).
 struct ClusterStats {
-  uint64_t Submitted = 0;
+  uint64_t Submitted = 0;       ///< requests the front door accepted
   uint64_t Forwarded = 0;       ///< Solve frames sent (re-sends included)
-  uint64_t RemoteCompleted = 0; ///< Result frames matched to a job
+  uint64_t RemoteCompleted = 0; ///< Result frames that answered a job
   uint64_t RemoteErrors = 0;    ///< Error frames (job then solved locally)
   uint64_t Failovers = 0;       ///< jobs rerouted off a failed link
-  uint64_t LocalSolves = 0;     ///< jobs the local service handled
-  uint64_t DeadlineExpired = 0; ///< grace timer fired (hung shard)
-  uint64_t Cancelled = 0;
+  uint64_t LocalSolves = 0;     ///< jobs failed back to the local pool
   uint64_t WorkerUpEvents = 0;
   uint64_t WorkerDownEvents = 0;
   size_t WorkersUp = 0;                    ///< links Up right now
   std::vector<uint64_t> PerWorkerForwarded; ///< indexed like Workers
 };
 
-class ClusterClient;
-
-/// A future-like view of one cluster job; the cluster analog of
-/// JobHandle. Copyable; must not outlive its ClusterClient except for
-/// get()/metadata on already-completed jobs.
+/// A JobHandle under the coordinator's older name: a stateless view that
+/// forwards every call.
 class ClusterJob {
 public:
   ClusterJob() = default;
+  explicit ClusterJob(JobHandle H) : H(std::move(H)) {}
 
-  bool valid() const { return St != nullptr; }
-  /// Blocks until the job completes.
-  const Solution &get() const;
-  bool waitFor(std::chrono::milliseconds Timeout) const;
-  void cancel() const;
-
-  // Metadata, meaningful once the job completed:
-  /// resultSourceName of whichever service solved it ("solve",
-  /// "cache-hit", ...), or "deadline" when the grace timer fired.
-  std::string source() const;
-  double queueMs() const;
-  double solveMs() const;
-  /// Worker index that answered; -1 = the local service.
-  int worker() const;
-  /// Remote delivery attempts consumed (0 = went straight local).
-  int attempts() const;
+  bool valid() const { return H.valid(); }
+  const Solution &get() const { return H.get(); }
+  bool waitFor(std::chrono::milliseconds Timeout) const {
+    return H.waitFor(Timeout);
+  }
+  void cancel() const { H.cancel(); }
+  std::string source() const { return std::string(resultSourceName(H.source())); }
+  double queueMs() const { return H.queueMs(); }
+  double solveMs() const { return H.solveMs(); }
+  int worker() const { return H.worker(); }
+  int attempts() const { return H.attempts(); }
 
 private:
-  friend class ClusterClient;
-  struct State;
-  explicit ClusterJob(std::shared_ptr<State> S) : St(std::move(S)) {}
-  std::shared_ptr<State> St;
+  JobHandle H;
 };
 
-class ClusterClient {
+class ClusterClient : private RemoteTier {
 public:
-  /// The same (library, engine options, service options) a single-node
-  /// server would use — the local fail-back service is built from them,
-  /// and the handshake digests are derived from them. Connections start
-  /// immediately; jobs may be submitted before any link is up (they ride
-  /// the backlog or solve locally per the routing rules above).
+  /// Attaches the cluster to \p Front: from now on its misses go to the
+  /// workers. \p Front must outlive this client; the handshake digests
+  /// come from its engine. Connections start immediately; jobs may
+  /// arrive before any link is up (they ride the backlog or fail back per
+  /// the routing rules above).
+  ClusterClient(SynthService &Front, ClusterOptions COpts);
+  /// A coordinator with a front door of its own, built from the same
+  /// (library, engine options, service options) a single-node server
+  /// would use.
   ClusterClient(ComponentLibrary Lib, EngineOptions EOpts,
                 ServiceOptions SOpts, ClusterOptions COpts);
-  ~ClusterClient();
+  /// Detaches from the front door (whatever is still out fails back to
+  /// its pool) and closes every link.
+  ~ClusterClient() override;
 
   ClusterClient(const ClusterClient &) = delete;
   ClusterClient &operator=(const ClusterClient &) = delete;
 
-  /// Schedules \p P; never blocks (routing happens on the loop thread).
-  ClusterJob submit(Problem P, JobRequest R = {});
+  /// Submits \p P to the front door; never blocks.
+  ClusterJob submit(Problem P, JobRequest R = {}) {
+    return ClusterJob(Front.submit(std::move(P), R));
+  }
 
   /// Blocks until \p N links are Up or \p Timeout passes; true on success.
   /// Startup helper for tests and the CLI (submitting earlier is safe but
@@ -138,12 +131,17 @@ public:
   bool waitForWorkers(unsigned N, std::chrono::milliseconds Timeout) const;
 
   ClusterStats stats() const;
-  SynthService &localService() { return *LocalSvc; }
+  SynthService &service() { return Front; }
 
 private:
-  friend class ClusterJob;
   struct Link;
   struct RJob;
+
+  ClusterClient(std::unique_ptr<SynthService> Owned, ClusterOptions COpts);
+
+  // RemoteTier: called under the service mutex; both only post.
+  void dispatch(RemoteJob J) override;
+  void stop(uint64_t Id) override;
 
   // All private methods below run on the loop thread.
   void connectLink(Link &L);
@@ -161,35 +159,29 @@ private:
   void sendSolve(Link &L, RJob &J);
   void handleResult(Link &L, const WireMessage &M);
   void handleRemoteError(Link &L, const WireMessage &M);
-  void submitLocal(RJob &J);
-  void completeFromLocal(RJob &J);
-  void completeJob(RJob &J, Solution S, std::string Source, double QueueMs,
-                   double SolveMs, int Worker);
-  void onDeadline(uint64_t ReqId);
-  void cancelReq(uint64_t ReqId);
-  /// Detaches \p J from whatever link holds it (outstanding or backlog).
-  void detachFromLink(RJob &J);
+  /// Hands \p J back to the front door's pool and forgets it.
+  void failBack(RJob &J);
+  void stopJob(uint64_t Id);
+  /// Forgets \p J: detaches it from whatever link holds it (outstanding
+  /// or backlog) and drops it from the job table.
+  void forget(RJob &J);
 
-  ComponentLibrary Lib; ///< for parsing remote program s-expressions
-  EngineOptions EOpts;
+  /// Only when this client built its own front door; declared first so
+  /// it is destroyed last, after the loop that answers into it.
+  std::unique_ptr<SynthService> OwnedFront;
+  SynthService &Front;
   ClusterOptions COpts;
   uint64_t OptionsDigest = 0;
   uint64_t CompatKey = 0;
   HashRing Ring;
 
-  /// Declared before the local service: members die in reverse order, and
-  /// the service's destructor runs the onDone continuations of its pending
-  /// jobs, which post() to this loop.
   EventLoop Loop;
-  std::unique_ptr<Engine> Eng;
-  std::unique_ptr<SynthService> LocalSvc;
   std::thread LoopThread;
-  std::atomic<uint64_t> NextReqId{1};
   std::atomic<bool> ShuttingDown{false};
 
   // Loop-thread-confined link and job tables.
   std::vector<std::unique_ptr<Link>> Links;
-  std::unordered_map<uint64_t, std::shared_ptr<RJob>> Jobs; ///< by req id
+  std::unordered_map<uint64_t, std::shared_ptr<RJob>> Jobs; ///< by job id
 
   mutable Mutex StatsM;
   mutable CondVar StatsChanged; ///< waitForWorkers sleeps here

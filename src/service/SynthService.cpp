@@ -20,6 +20,10 @@
 //    mutex): complete() moves them out while M is held, and every site
 //    that completes handles runs them after releasing M. They may
 //    therefore call back into the service (stats(), submit(), cancel()).
+//  - RemoteTier::dispatch and ::stop run under M and only post to the
+//    tier's event loop, so the order is M before the loop's post mutex.
+//    The loop thread answers (RemoteJob::complete / failBack) holding no
+//    loop lock, and takes M only for the bookkeeping above.
 //
 //===----------------------------------------------------------------------===//
 
@@ -64,6 +68,8 @@ struct JobHandle::JobState {
   Solution Result GUARDED_BY(M);
   /// onDone continuations registered before Done; complete() takes them.
   std::vector<std::function<void()>> OnDone GUARDED_BY(M);
+  int Worker GUARDED_BY(M) = -1;  ///< remote shard that answered
+  int Attempts GUARDED_BY(M) = 0; ///< remote deliveries consumed
   uint64_t Fp = 0;
   /// Timing for queueMs()/solveMs(): SubmitTime is immutable after
   /// submit; StartTime is set (with Started) at the Queued→Running
@@ -99,6 +105,18 @@ double JobHandle::solveMs() const {
   return std::chrono::duration<double, std::milli>(State->DoneTime -
                                                    State->StartTime)
       .count();
+}
+
+int JobHandle::worker() const {
+  assert(State && "worker() on an invalid handle");
+  MutexLock Lock(State->M);
+  return State->Worker;
+}
+
+int JobHandle::attempts() const {
+  assert(State && "attempts() on an invalid handle");
+  MutexLock Lock(State->M);
+  return State->Attempts;
 }
 
 JobStatus JobHandle::status() const {
@@ -174,6 +192,10 @@ struct SynthService::Work {
   CancellationToken Token = CancellationToken::create();
   std::vector<std::shared_ptr<JobHandle::JobState>> Waiters;
   bool Running = false;
+  /// Out on the remote tier: the only state in which its answer is taken.
+  bool Remote = false;
+  int Attempts = 0; ///< remote deliveries before the tier failed it back
+  std::chrono::steady_clock::time_point SolveStart; ///< set by startWork
 };
 
 bool SynthService::workLater(const std::shared_ptr<Work> &A,
@@ -184,6 +206,10 @@ bool SynthService::workLater(const std::shared_ptr<Work> &A,
 }
 
 namespace {
+
+/// How often the checkpointer persists the warm stores (when something
+/// changed); the destructor's final checkpoint runs regardless.
+constexpr std::chrono::seconds CheckpointEvery{30};
 
 Solution cancelledSolution() {
   Solution S;
@@ -233,7 +259,7 @@ SynthService::SynthService(Engine Eng, ServiceOptions Opts)
   for (unsigned I = 0; I != N; ++I)
     Pool.emplace_back([this] { workerLoop(); });
   Reaper = std::thread([this] { reaperLoop(); });
-  if (Warm && this->Opts.checkpointInterval().count() > 0)
+  if (Warm)
     Checkpointer = std::thread([this] { checkpointLoop(); });
 }
 
@@ -242,6 +268,9 @@ SynthService::~SynthService() {
   {
     MutexLock Lock(M);
     ShuttingDown = true;
+    // A tier still attached breaks the contract; its jobs join the queue
+    // and are cancelled with it.
+    detachLocked();
     // Queued jobs will never run: complete their handles as Cancelled.
     for (const std::shared_ptr<Work> &W : Queue) {
       Inflight.erase(W->Fp);
@@ -374,7 +403,8 @@ JobHandle SynthService::submitImpl(Problem P, const JobRequest &R,
       return JobHandle(std::move(State));
     }
 
-    if (Queue.size() < Opts.queueCapacity())
+    // A remote tier takes misses without a queue slot: it never blocks.
+    if (Tier || Queue.size() < Opts.queueCapacity())
       break;
     if (!Blocking) {
       ++Counters.Rejected;
@@ -414,11 +444,19 @@ JobHandle SynthService::submitImpl(Problem P, const JobRequest &R,
   // operator[]: may replace a running-but-incompatible work's entry; its
   // identity-guarded unregister leaves this one alone.
   Inflight[Fp] = W;
-  Queue.push_back(std::move(W));
-  std::push_heap(Queue.begin(), Queue.end(), &SynthService::workLater);
-  Counters.MaxQueueDepth = std::max(Counters.MaxQueueDepth, Queue.size());
+  if (Tier) {
+    // Out on the tier, the work runs: its clamp is fixed, later duplicates
+    // ride it under the running-work rules, and the reaper watches it.
+    startWork(W);
+    W->Remote = true;
+    Tier->dispatch(RemoteJob(this, W));
+  } else {
+    Queue.push_back(std::move(W));
+    std::push_heap(Queue.begin(), Queue.end(), &SynthService::workLater);
+    Counters.MaxQueueDepth = std::max(Counters.MaxQueueDepth, Queue.size());
+    WorkAvailable.notify_one();
+  }
   ++Counters.Submitted;
-  WorkAvailable.notify_one();
   if (State->Deadline)
     DeadlineChanged.notify_one();
   return JobHandle(std::move(State));
@@ -478,62 +516,150 @@ void SynthService::workerLoop() {
       continue;
     }
 
-    W->Running = true;
-    ++RunningCount;
-    RunningWorks.push_back(W);
+    startWork(W);
     ++Counters.SolvesRun;
-    auto SolveStart = std::chrono::steady_clock::now();
-    for (const std::shared_ptr<JobHandle::JobState> &St : W->Waiters) {
-      {
-        MutexLock SL(St->M);
-        St->Status = JobStatus::Running;
-        St->Started = true;
-        St->StartTime = SolveStart;
-      }
-    }
-
-    // Captured once: the reaper may shed riders (it never touches a
-    // running work's Deadline, but the clamp that actually applied is
-    // what the cache-soundness check below must reason about).
+    // A running work's Deadline is fixed (the reaper sheds riders but
+    // never moves the clamp), so this copy is the clamp finishWork checks.
     auto SolveClamp = W->Deadline;
     std::shared_ptr<RefutationStore> Refs = refutationScopeFor(W->Prob);
     Lock.unlock();
     runAll(Ready);
     Solution S = Eng.solve(W->Prob, W->Token, SolveClamp, std::move(Refs));
     Lock.lock();
-
-    unregisterInflight(W);
-    W->Running = false;
-    --RunningCount;
-    RunningWorks.erase(
-        std::remove(RunningWorks.begin(), RunningWorks.end(), W),
-        RunningWorks.end());
-    // A cancelled search says nothing about the problem. Everything else
-    // is a reusable verdict — Solved and Exhausted unconditionally (a
-    // solution is a solution, and Exhausted means the space emptied
-    // *before* any clamp could fire: the engine reports Timeout, never
-    // Exhausted, when a deadline cuts it short), and Timeout only when a
-    // per-job deadline clamp could not have truncated the keyed engine
-    // budget — a short-deadline Timeout says less than the key promises
-    // and would poison deadline-free requests.
-    // One second of slack absorbs the scheduling gap between SolveStart
-    // and the engine anchoring its own deadline — a clamp landing inside
-    // that gap still truncates, so err toward not caching.
-    bool ClampTruncated =
-        SolveClamp && *SolveClamp < SolveStart + Eng.options().config().Timeout +
-                                        std::chrono::seconds(1);
-    if (S.Result == Outcome::Solved || S.Result == Outcome::Exhausted ||
-        (S.Result == Outcome::Timeout && !ClampTruncated))
-      Cache.insert(W->Fp, S);
-    std::vector<std::shared_ptr<JobHandle::JobState>> Waiters =
-        std::move(W->Waiters);
-    W->Waiters.clear();
-    for (const std::shared_ptr<JobHandle::JobState> &St : Waiters) {
-      St->Job.reset();
-      complete(St, S, std::nullopt, Ready);
-    }
-    SpaceAvailable.notify_all();
+    finishWork(W, S, /*Worker=*/-1, Ready);
   }
+}
+
+void SynthService::startWork(const std::shared_ptr<Work> &W) {
+  W->Running = true;
+  ++RunningCount;
+  RunningWorks.push_back(W);
+  W->SolveStart = std::chrono::steady_clock::now();
+  for (const std::shared_ptr<JobHandle::JobState> &St : W->Waiters) {
+    MutexLock SL(St->M);
+    St->Status = JobStatus::Running;
+    St->Started = true;
+    St->StartTime = W->SolveStart;
+  }
+}
+
+void SynthService::stopRunning(const std::shared_ptr<Work> &W) {
+  W->Running = false;
+  --RunningCount;
+  RunningWorks.erase(std::remove(RunningWorks.begin(), RunningWorks.end(), W),
+                     RunningWorks.end());
+}
+
+void SynthService::finishWork(const std::shared_ptr<Work> &W,
+                              const Solution &S, int Worker,
+                              Continuations &Ready) {
+  unregisterInflight(W);
+  stopRunning(W);
+  // A cancelled search says nothing about the problem. Everything else
+  // is a reusable verdict — Solved and Exhausted unconditionally (a
+  // solution is a solution, and Exhausted means the space emptied
+  // *before* any clamp could fire: the engine reports Timeout, never
+  // Exhausted, when a deadline cuts it short), and Timeout only when a
+  // per-job deadline clamp could not have truncated the keyed engine
+  // budget — a short-deadline Timeout says less than the key promises
+  // and would poison deadline-free requests.
+  // One second of slack absorbs the scheduling gap between SolveStart
+  // and the engine anchoring its own deadline — a clamp landing inside
+  // that gap still truncates, so err toward not caching.
+  bool ClampTruncated =
+      W->Deadline && *W->Deadline < W->SolveStart +
+                                        Eng.options().config().Timeout +
+                                        std::chrono::seconds(1);
+  if (S.Result == Outcome::Solved || S.Result == Outcome::Exhausted ||
+      (S.Result == Outcome::Timeout && !ClampTruncated))
+    Cache.insert(W->Fp, S);
+  std::vector<std::shared_ptr<JobHandle::JobState>> Waiters =
+      std::move(W->Waiters);
+  W->Waiters.clear();
+  for (const std::shared_ptr<JobHandle::JobState> &St : Waiters) {
+    St->Job.reset();
+    if (complete(St, S, std::nullopt, Ready, Worker, W->Attempts) &&
+        S.Result == Outcome::Timeout && ClampTruncated)
+      ++Counters.SolveDeadlineExpired;
+  }
+  SpaceAvailable.notify_all();
+}
+
+void SynthService::abandonWork(const std::shared_ptr<Work> &W) {
+  W->Token.requestStop();
+  unregisterInflight(W);
+  if (!W->Remote)
+    return;
+  W->Remote = false;
+  stopRunning(W);
+  Tier->stop(W->Seq + 1);
+  SpaceAvailable.notify_all(); // drain() counts remote works as running
+}
+
+void SynthService::failBackLocked(const std::shared_ptr<Work> &W) {
+  W->Remote = false;
+  stopRunning(W);
+  for (const std::shared_ptr<JobHandle::JobState> &St : W->Waiters) {
+    MutexLock SL(St->M);
+    St->Status = JobStatus::Queued;
+    St->Started = false;
+  }
+  W->Deadline = neededDeadline(W->Waiters);
+  // Past the queue cap if need be: the work was admitted long ago, and
+  // the thread failing it back must not block.
+  Queue.push_back(W);
+  std::push_heap(Queue.begin(), Queue.end(), &SynthService::workLater);
+  Counters.MaxQueueDepth = std::max(Counters.MaxQueueDepth, Queue.size());
+  WorkAvailable.notify_one();
+}
+
+void SynthService::detachLocked() {
+  std::vector<std::shared_ptr<Work>> Out;
+  for (const std::shared_ptr<Work> &W : RunningWorks)
+    if (W->Remote)
+      Out.push_back(W);
+  for (const std::shared_ptr<Work> &W : Out)
+    failBackLocked(W);
+  Tier = nullptr;
+}
+
+void SynthService::attachRemote(RemoteTier *T) {
+  MutexLock Lock(M);
+  if (!T)
+    detachLocked();
+  Tier = T;
+}
+
+RemoteJob::RemoteJob(SynthService *Svc, std::shared_ptr<SynthService::Work> W)
+    : Svc(Svc), W(std::move(W)) {
+  Id = this->W->Seq + 1;
+  Fp = this->W->Fp;
+  Prio = this->W->Priority;
+  Deadline = this->W->Deadline;
+}
+
+// Prob is never written after submit, so the tier may read it unlocked.
+const Problem &RemoteJob::problem() const { return W->Prob; }
+
+void RemoteJob::complete(const Solution &S, int Worker, int Attempts) const {
+  SynthService::Continuations Ready;
+  {
+    MutexLock Lock(Svc->M);
+    if (!W->Remote)
+      return;
+    W->Remote = false;
+    W->Attempts = Attempts;
+    Svc->finishWork(W, S, Worker, Ready);
+  }
+  runAll(Ready);
+}
+
+void RemoteJob::failBack(int Attempts) const {
+  MutexLock Lock(Svc->M);
+  if (!W->Remote)
+    return;
+  W->Attempts = Attempts;
+  Svc->failBackLocked(W);
 }
 
 void SynthService::loadWarmState() {
@@ -579,7 +705,7 @@ uint64_t SynthService::warmActivitySignal() {
 void SynthService::checkpointLoop() {
   UniqueLock Lock(M);
   for (;;) {
-    CheckpointWake.wait_for(Lock, Opts.checkpointInterval(),
+    CheckpointWake.wait_for(Lock, CheckpointEvery,
                             [&]() NO_THREAD_SAFETY_ANALYSIS {
                               return ShuttingDown;
                             });
@@ -670,10 +796,8 @@ void SynthService::cancelLocked(
     // result (coalesced followers keep it alive). A doomed solve is also
     // unregistered so an identical submission arriving while it winds
     // down starts fresh instead of coalescing onto a Cancelled result.
-    if (W->Waiters.empty()) {
-      W->Token.requestStop();
-      unregisterInflight(W);
-    }
+    if (W->Waiters.empty())
+      abandonWork(W);
     complete(State, cancelledSolution(), std::nullopt, Ready);
     return;
   }
@@ -696,7 +820,7 @@ void SynthService::cancelLocked(
 bool SynthService::complete(const std::shared_ptr<JobHandle::JobState> &State,
                             Solution S,
                             std::optional<ResultSource> OverrideSource,
-                            Continuations &Ready) {
+                            Continuations &Ready, int Worker, int Attempts) {
   {
     MutexLock Lock(State->M);
     if (State->Status == JobStatus::Done)
@@ -706,6 +830,8 @@ bool SynthService::complete(const std::shared_ptr<JobHandle::JobState> &State,
     if (OverrideSource)
       State->Source = *OverrideSource;
     State->Result = std::move(S);
+    State->Worker = Worker;
+    State->Attempts = Attempts;
     // Taken in the same critical section that sets Done: a concurrent
     // onDone() either lands in this list or sees Done and runs inline —
     // every continuation runs exactly once.
@@ -806,8 +932,7 @@ void SynthService::reaperLoop() {
       if (W->Running) {
         // Nobody is left waiting: stop the search; the worker completes
         // the (empty) work on the way out without caching Cancelled.
-        W->Token.requestStop();
-        unregisterInflight(W);
+        abandonWork(W);
       } else {
         auto It = std::find(Queue.begin(), Queue.end(), W);
         if (It != Queue.end())

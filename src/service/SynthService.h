@@ -46,6 +46,13 @@
 /// socket, write a traffic record) registers JobHandle::onDone instead of
 /// polling or blocking a thread per job.
 ///
+/// Remote tier: with a RemoteTier attached (the cluster coordinator,
+/// cluster/ClusterClient.h), a miss that is neither cached nor coalesced
+/// goes to the tier instead of the queue. Caching, coalescing, deadlines,
+/// cancellation and completion stay here: the tier only delivers the
+/// answer back (RemoteJob::complete) or returns the work to this pool
+/// (RemoteJob::failBack).
+///
 /// Thread safety: every public method of SynthService and JobHandle may be
 /// called from any thread. Internally one service mutex guards the
 /// scheduler state and a per-job mutex guards each result; the service
@@ -72,7 +79,7 @@ namespace morpheus {
 /// ride on (Queued while it waits, Running once a worker picks it up).
 enum class JobStatus {
   Queued,  ///< waiting for a worker (or for the solve it coalesced onto)
-  Running, ///< a worker is solving it
+  Running, ///< a worker (or the remote tier) is solving it
   Done     ///< result available; get() will not block
 };
 
@@ -132,28 +139,15 @@ public:
   /// ResultCache entries; 0 disables result caching (single-flight
   /// coalescing still applies).
   ServiceOptions &cacheCapacity(size_t N) { CacheCap = N; return *this; }
-  /// How often the background checkpointer persists the warm stores when
-  /// the engine has a state dir (EngineOptions::stateDir). Only fires
-  /// when something changed since the last checkpoint; a final
-  /// checkpoint always runs at service destruction regardless. Zero
-  /// disables the periodic thread (shutdown checkpoint still runs).
-  ServiceOptions &checkpointInterval(std::chrono::milliseconds I) {
-    CheckpointEvery = I;
-    return *this;
-  }
 
   unsigned workers() const { return NumWorkers; }
   size_t queueCapacity() const { return QueueCap; }
   size_t cacheCapacity() const { return CacheCap; }
-  std::chrono::milliseconds checkpointInterval() const {
-    return CheckpointEvery;
-  }
 
 private:
   unsigned NumWorkers = 0;
   size_t QueueCap = 256;
   size_t CacheCap = 512;
-  std::chrono::milliseconds CheckpointEvery{30000};
 };
 
 /// Aggregate service counters (monotonic since construction) plus a
@@ -169,6 +163,9 @@ struct ServiceStats {
   uint64_t QueueDeadlineExpired = 0; ///< jobs that timed out unstarted
   uint64_t RiderDeadlineExpired = 0; ///< riders shed mid-solve at their
                                      ///< own deadline
+  /// Handles whose solve stopped at their deadline clamp before the
+  /// reaper shed them (the two race at the same instant).
+  uint64_t SolveDeadlineExpired = 0;
   uint64_t QueueCancelled = 0;  ///< jobs cancelled unstarted
   uint64_t Completed = 0;       ///< handles that reached Done
   size_t QueueDepth = 0;        ///< jobs waiting right now
@@ -198,6 +195,13 @@ public:
   double queueMs() const;
   double solveMs() const;
 
+  /// Which process answered, meaningful once status() == Done: the index
+  /// of the remote shard whose answer completed this handle, or -1 when
+  /// this service did (a local solve, cache hit, deadline or cancel).
+  int worker() const;
+  /// Remote deliveries the job consumed (0 = it never left this process).
+  int attempts() const;
+
   /// Blocks until the job completes; returns its Solution. The reference
   /// stays valid as long as any copy of this handle does.
   const Solution &get() const;
@@ -226,6 +230,21 @@ private:
   std::shared_ptr<JobState> State;
 };
 
+class RemoteJob;
+
+/// Where a SynthService sends its misses instead of its own pool. Both
+/// calls are made with the service mutex held, so they must only hand
+/// the job to another thread: never block, never call into the service.
+class RemoteTier {
+public:
+  virtual ~RemoteTier() = default;
+  /// Takes a miss; the tier answers it through RemoteJob::complete or
+  /// RemoteJob::failBack.
+  virtual void dispatch(RemoteJob J) = 0;
+  /// Job \p Id lost its last waiter: its answer is no longer wanted.
+  virtual void stop(uint64_t Id) = 0;
+};
+
 /// The service. Construction spawns the worker pool; destruction cancels
 /// every pending and running job, completes their handles, and joins the
 /// pool.
@@ -249,12 +268,18 @@ public:
   /// wait extend it.
   void drain();
 
+  /// Sends every later miss to \p T instead of the pool; null detaches,
+  /// returning every job the tier still holds to the pool. The tier must
+  /// detach before the service is destroyed.
+  void attachRemote(RemoteTier *T) EXCLUDES(M);
+
   ServiceStats stats() const;
   const Engine &engine() const { return Eng; }
   const ServiceOptions &options() const { return Opts; }
 
 private:
   friend class JobHandle;
+  friend class RemoteJob;
   struct Work;
   /// Continuations of jobs completed under M, run once M is released.
   using Continuations = std::vector<std::function<void()>>;
@@ -270,6 +295,23 @@ private:
   static std::optional<std::chrono::steady_clock::time_point>
   neededDeadline(const std::vector<std::shared_ptr<JobHandle::JobState>> &Ws);
   void workerLoop();
+  /// Marks \p W running (in the pool or on the remote tier).
+  void startWork(const std::shared_ptr<Work> &W) REQUIRES(M);
+  /// Undoes startWork's bookkeeping.
+  void stopRunning(const std::shared_ptr<Work> &W) REQUIRES(M);
+  /// Settles \p W with its solve's result \p S: stores a reusable verdict
+  /// and completes every waiter, answered by shard \p Worker (-1 = this
+  /// process).
+  void finishWork(const std::shared_ptr<Work> &W, const Solution &S,
+                  int Worker, Continuations &Ready) REQUIRES(M);
+  /// Stops a running work nobody waits for: a local solve is asked to
+  /// stop (its worker retires it), a remote one is retired here and the
+  /// tier told.
+  void abandonWork(const std::shared_ptr<Work> &W) REQUIRES(M);
+  /// Moves a remote work back into the queue, for the pool to solve.
+  void failBackLocked(const std::shared_ptr<Work> &W) REQUIRES(M);
+  /// Fails back every remote work and forgets the tier.
+  void detachLocked() REQUIRES(M);
   /// Completes queued jobs as their deadlines expire, so an expired job's
   /// get() returns at the deadline even while every worker is busy — the
   /// situation deadlines exist for. Workers also shed at dequeue as a
@@ -291,7 +333,7 @@ private:
   /// Restores the warm stores from the engine's state dir (constructor
   /// only, before any worker exists — no locks needed).
   void loadWarmState();
-  /// Periodic persistence (ServiceOptions::checkpointInterval); exits at
+  /// Periodic persistence (every 30 s, when something changed); exits at
   /// shutdown — the destructor runs the final checkpoint itself, after
   /// the pool has drained, so it captures the true final state.
   void checkpointLoop();
@@ -311,7 +353,8 @@ private:
   /// False when it already was Done.
   bool complete(const std::shared_ptr<JobHandle::JobState> &State, Solution S,
                 std::optional<ResultSource> OverrideSource,
-                Continuations &Ready) REQUIRES(M);
+                Continuations &Ready, int Worker = -1, int Attempts = 0)
+      REQUIRES(M);
 
   const Engine Eng;
   const ServiceOptions Opts;
@@ -342,6 +385,8 @@ private:
   uint64_t NextSeq GUARDED_BY(M) = 0;
   size_t RunningCount GUARDED_BY(M) = 0;
   bool ShuttingDown GUARDED_BY(M) = false;
+  /// Where misses go instead of the queue; null = the pool solves them.
+  RemoteTier *Tier GUARDED_BY(M) = nullptr;
   /// Cache/QueueDepth fields filled by stats().
   ServiceStats Counters GUARDED_BY(M);
 
@@ -352,6 +397,41 @@ private:
   std::vector<std::thread> Pool;
   std::thread Reaper;
   std::thread Checkpointer; ///< only spawned when Warm is set
+};
+
+/// A miss handed to the attached RemoteTier. Copyable; the tier answers
+/// it once, from any thread, with complete() (the answer: cached, every
+/// waiter completed) or failBack() (this service's pool solves it). Both
+/// are no-ops once the service stopped the job (its last waiter left, or
+/// the tier detached), so a late answer is harmless.
+class RemoteJob {
+public:
+  RemoteJob() = default;
+
+  uint64_t id() const { return Id; } ///< unique per service, never 0
+  uint64_t fingerprint() const { return Fp; }
+  int priority() const { return Prio; }
+  /// The deadline the remote solve must respect; nullopt = none (some
+  /// waiter has no deadline).
+  std::optional<std::chrono::steady_clock::time_point> deadline() const {
+    return Deadline;
+  }
+  const Problem &problem() const;
+
+  /// \p Worker becomes JobHandle::worker() of every waiter, \p Attempts
+  /// its attempts().
+  void complete(const Solution &S, int Worker, int Attempts) const;
+  void failBack(int Attempts) const;
+
+private:
+  friend class SynthService;
+  RemoteJob(SynthService *Svc, std::shared_ptr<SynthService::Work> W);
+
+  SynthService *Svc = nullptr;
+  std::shared_ptr<SynthService::Work> W;
+  uint64_t Id = 0, Fp = 0;
+  int Prio = 0;
+  std::optional<std::chrono::steady_clock::time_point> Deadline;
 };
 
 } // namespace morpheus

@@ -80,7 +80,8 @@ TEST(ClusterStress, ConcurrentSubmittersSurviveWorkerChurn) {
     Threads.emplace_back([&, T] {
       for (int I = 0; I != JobsEach; ++I) {
         // 16 distinct fingerprints over 32 submissions: half the load
-        // repeats, hitting worker caches / coalescing concurrently.
+        // repeats, hitting the coordinator's cache / coalescing
+        // concurrently.
         ClusterJob J = C.submit(idProblem(unsigned(T * JobsEach + I) % 16));
         ASSERT_TRUE(J.waitFor(std::chrono::seconds(120))) << "job lost";
         if (J.get())
@@ -135,9 +136,13 @@ TEST(ClusterStress, ConcurrentSubmittersSurviveWorkerChurn) {
   // Identity problems cannot fail; churn may only move them around.
   EXPECT_EQ(SolvedCount.load(), Submitters * JobsEach);
 
+  // Every request was answered by the coordinator's own cache, by
+  // riding an identical job, or by that job's shard or fail-back.
   ClusterStats S = C.stats();
+  ServiceStats Front = C.service().stats();
   EXPECT_EQ(S.Submitted, uint64_t(Submitters * JobsEach));
-  EXPECT_EQ(S.RemoteCompleted + S.LocalSolves,
+  EXPECT_EQ(S.RemoteCompleted + S.LocalSolves + Front.Cache.Hits +
+                Front.Cache.Coalesced,
             uint64_t(Submitters * JobsEach));
 
   Stable.stop();

@@ -39,6 +39,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 using namespace morpheus;
 
 namespace {
@@ -159,8 +161,9 @@ TEST(ClusterParity, MorpheusSuiteTwoWorkersMatchesSingleNode) {
   std::vector<ArmRow> Cluster = runClusterArm(Suite, Lib, 2, &CS);
   expectParity(Suite, Base, Cluster, "2-worker cluster");
 
-  // Everything went remote (both links healthy throughout), and the ring
-  // actually sharded: each worker saw a nontrivial share.
+  // Everything went remote (both links healthy throughout; no two suite
+  // tasks share a fingerprint, so the coordinator's cache answers none),
+  // and the ring actually sharded: each worker saw a nontrivial share.
   EXPECT_EQ(CS.Submitted, Suite.size());
   EXPECT_EQ(CS.LocalSolves, 0u);
   EXPECT_EQ(CS.RemoteCompleted, Suite.size());
@@ -365,6 +368,23 @@ TEST(ClusterScheduling, DeadlinePropagatesToRemoteSolves) {
   ASSERT_TRUE(J.waitFor(std::chrono::seconds(30)))
       << "deadline did not propagate; remote solve ran unbounded";
   EXPECT_FALSE(bool(J.get()));
+
+  // The coordinator's own reaper answers J at 300 ms whether or not the
+  // deadline reached the shard, and sends no Cancel once that deadline
+  // has passed. So only a propagated deadline ends the shard's solve well
+  // inside its 120 s budget, and as a deadline timeout.
+  ServiceStats WS;
+  for (int I = 0; I != 300; ++I) { // up to 30 s
+    WS = W.service().stats();
+    if (WS.Completed != 0)
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  EXPECT_EQ(WS.Completed, 1u) << "the shard's solve ran on past 30 s";
+  EXPECT_EQ(WS.QueueDeadlineExpired + WS.RiderDeadlineExpired +
+                WS.SolveDeadlineExpired,
+            1u)
+      << "the shard's solve did not end at its deadline";
   W.stop();
 }
 

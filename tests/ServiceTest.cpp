@@ -9,8 +9,9 @@
 /// ResultCache LRU behaviour, queue saturation and backpressure, per-job
 /// deadlines (expired in queue and bounding a running solve), cancellation
 /// in every phase, single-flight coalescing, priority ordering, shutdown
-/// draining, the JobHandle::onDone contract on every completion path, and
-/// the Engine::solveBatch / Engine::shared() entry points.
+/// draining, the JobHandle::onDone contract on every completion path, the
+/// remote-tier hand-off, and the Engine::solveBatch / Engine::shared()
+/// entry points.
 ///
 /// Timing discipline: tests never assert that something happens *within* a
 /// tight budget on the (possibly 1-core, sanitized) CI box; they only use
@@ -821,6 +822,106 @@ TEST(SynthService, DestructionCancelsQueuedAndRunningJobs) {
 //===----------------------------------------------------------------------===//
 // Engine entry points
 //===----------------------------------------------------------------------===//
+
+//===----------------------------------------------------------------------===//
+// SynthService: the remote tier
+//===----------------------------------------------------------------------===//
+
+/// A RemoteTier that only records what the service hands it; the test
+/// answers each job itself.
+struct RecordingTier : RemoteTier {
+  Mutex M;
+  std::vector<RemoteJob> Jobs GUARDED_BY(M);
+  std::vector<uint64_t> Stopped GUARDED_BY(M);
+
+  void dispatch(RemoteJob J) override {
+    MutexLock L(M);
+    Jobs.push_back(std::move(J));
+  }
+  void stop(uint64_t Id) override {
+    MutexLock L(M);
+    Stopped.push_back(Id);
+  }
+  RemoteJob job(size_t I) {
+    MutexLock L(M);
+    return Jobs.at(I);
+  }
+  size_t jobs() {
+    MutexLock L(M);
+    return Jobs.size();
+  }
+  std::vector<uint64_t> stopped() {
+    MutexLock L(M);
+    return Stopped;
+  }
+};
+
+TEST(SynthService, RemoteTierTakesMissesAndAnswersIntoTheService) {
+  SynthService Svc(longEngine(), ServiceOptions().workers(1));
+  RecordingTier Tier;
+  Svc.attachRemote(&Tier);
+
+  // A miss goes to the tier, running; a duplicate rides it.
+  JobHandle A = Svc.submit(fastProblem(1));
+  JobHandle B = Svc.submit(fastProblem(1));
+  ASSERT_EQ(Tier.jobs(), 1u);
+  EXPECT_EQ(Tier.job(0).fingerprint(), A.fingerprint());
+  EXPECT_EQ(A.status(), JobStatus::Running);
+  EXPECT_EQ(B.source(), ResultSource::Coalesced);
+
+  // The tier's answer completes both handles and fills the cache.
+  Solution S = longEngine().solve(fastProblem(1));
+  ASSERT_TRUE(bool(S));
+  Tier.job(0).complete(S, /*Worker=*/3, /*Attempts=*/1);
+  EXPECT_TRUE(bool(A.get()));
+  EXPECT_TRUE(bool(B.get()));
+  EXPECT_EQ(A.source(), ResultSource::Solve);
+  EXPECT_EQ(A.worker(), 3);
+  EXPECT_EQ(B.worker(), 3);
+  EXPECT_EQ(A.attempts(), 1);
+  JobHandle C = Svc.submit(fastProblem(1));
+  EXPECT_EQ(C.source(), ResultSource::CacheHit);
+  EXPECT_EQ(C.worker(), -1);
+  EXPECT_EQ(Tier.jobs(), 1u) << "a cache hit never reaches the tier";
+
+  // Failed back, the pool solves it; a second answer is ignored.
+  JobHandle D = Svc.submit(fastProblem(2));
+  ASSERT_EQ(Tier.jobs(), 2u);
+  Tier.job(1).failBack(/*Attempts=*/2);
+  EXPECT_TRUE(bool(D.get()));
+  EXPECT_EQ(D.worker(), -1);
+  EXPECT_EQ(D.attempts(), 2);
+  Tier.job(1).complete(Solution(), 0, 1);
+  EXPECT_TRUE(bool(D.get()));
+
+  // The last waiter leaving stops the job, and a late answer is dropped.
+  JobHandle E = Svc.submit(ghostProblem(1));
+  ASSERT_EQ(Tier.jobs(), 3u);
+  E.cancel();
+  EXPECT_EQ(Tier.stopped(), std::vector<uint64_t>{Tier.job(2).id()});
+  Tier.job(2).complete(S, 0, 1);
+  EXPECT_EQ(E.get().Result, Outcome::Cancelled);
+
+  // The reaper answers at the deadline and stops the job too.
+  JobHandle F = Svc.submit(ghostProblem(2),
+                           JobRequest().deadline(std::chrono::milliseconds(50)));
+  ASSERT_EQ(Tier.jobs(), 4u);
+  EXPECT_EQ(F.get().Result, Outcome::Timeout);
+  for (int I = 0; I != 20000 && Tier.stopped().size() != 2; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(Tier.stopped().size(), 2u);
+
+  // Detaching returns what is still out to the pool.
+  JobHandle G = Svc.submit(fastProblem(3));
+  ASSERT_EQ(Tier.jobs(), 5u);
+  Svc.attachRemote(nullptr);
+  EXPECT_TRUE(bool(G.get()));
+  EXPECT_EQ(G.worker(), -1);
+
+  ServiceStats St = Svc.stats();
+  EXPECT_EQ(St.SolvesRun, 2u) << "only the failed-back and detached jobs";
+  EXPECT_EQ(St.Submitted, 7u);
+}
 
 TEST(Engine, SolveBatchDeduplicatesAndPreservesOrder) {
   Engine E = longEngine();

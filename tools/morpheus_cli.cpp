@@ -50,6 +50,8 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -225,32 +227,22 @@ bool ensureDir(const std::string &Path) {
   return ::mkdir(Path.c_str(), 0777) == 0;
 }
 
+/// A non-negative decimal int; nullopt for anything else, including
+/// values past INT_MAX (which would otherwise wrap).
 std::optional<int> parseIntArg(const std::string &S) {
   char *End = nullptr;
+  errno = 0;
   long V = std::strtol(S.c_str(), &End, 10);
-  if (S.empty() || End != S.c_str() + S.size() || V < 0)
+  if (S.empty() || End != S.c_str() + S.size() || errno == ERANGE || V < 0 ||
+      V > INT_MAX)
     return std::nullopt;
   return int(V);
 }
 
-/// The one --sharing string-to-enum mapping (inverse of
-/// refutationSharingName); shared by solve/serve (engineArg) and bench.
-bool parseRefutationSharing(const std::string &V, RefutationSharing &Out) {
-  if (V == "off")
-    Out = RefutationSharing::Off;
-  else if (V == "per-solve")
-    Out = RefutationSharing::PerSolve;
-  else if (V == "process")
-    Out = RefutationSharing::ProcessWide;
-  else
-    return false;
-  return true;
-}
-
-/// The engine flags shared by `solve` and `serve` (--strategy, --timeout,
-/// --threads, --spec, --no-deduction, --library), kept in one place so
-/// the two commands cannot drift apart. Returns -1 when \p A is not an
-/// engine flag, 0 when consumed, or an exit code on a bad value.
+/// The engine flags shared by `solve`, `serve`, `worker`, `replay` and
+/// (all but --spec, --no-deduction and --library) `bench`, kept in one
+/// place so the commands cannot drift apart. Returns -1 when \p A is not
+/// an engine flag, 0 when consumed, or an exit code on a bad value.
 int engineArg(ArgReader &Args, const std::string &A, EngineOptions &Opts,
               std::string &LibraryName) {
   std::string V;
@@ -301,10 +293,14 @@ int engineArg(ArgReader &Args, const std::string &A, EngineOptions &Opts,
   if (A == "--sharing") {
     if (!Args.value(A, V))
       return 2;
-    RefutationSharing S;
-    if (!parseRefutationSharing(V, S))
+    if (V == "off")
+      Opts.refutationSharing(RefutationSharing::Off);
+    else if (V == "per-solve")
+      Opts.refutationSharing(RefutationSharing::PerSolve);
+    else if (V == "process")
+      Opts.refutationSharing(RefutationSharing::ProcessWide);
+    else
       return usage("unknown sharing mode (use off, per-solve or process)");
-    Opts.refutationSharing(S);
     return 0;
   }
   if (A == "--library") {
@@ -482,12 +478,10 @@ JsonValue benchSnapshot(const std::string &SuiteName,
 
 int runBench(ArgReader &Args) {
   std::string SuiteName = "morpheus", ConfigName = "spec2", JsonPath, StateDir;
-  Strategy Strat = Strategy::Sequential;
-  RefutationSharing Sharing = RefutationSharing::PerSolve;
-  int TimeoutMs = 5000;
-  unsigned Threads = 0;
+  std::string LibraryName; // engineArg's out-parameter; bench rejects --library
+  EngineOptions Flags;     // --strategy/--timeout/--threads/--sharing/--simd
+  Flags.timeout(std::chrono::milliseconds(5000));
   size_t Limit = SIZE_MAX;
-  bool SimdOff = false;
 
   while (!Args.done()) {
     std::string A = Args.next();
@@ -504,43 +498,6 @@ int runBench(ArgReader &Args) {
       if (V != "spec2" && V != "spec1" && V != "nodeduction")
         return usage("unknown config (use spec2, spec1 or nodeduction)");
       ConfigName = V;
-    } else if (A == "--strategy") {
-      if (!Args.value(A, V))
-        return 2;
-      if (V == "sequential")
-        Strat = Strategy::Sequential;
-      else if (V == "portfolio")
-        Strat = Strategy::Portfolio;
-      else
-        return usage("unknown strategy (use sequential or portfolio)");
-    } else if (A == "--timeout") {
-      if (!Args.value(A, V))
-        return 2;
-      std::optional<int> MS = parseIntArg(V);
-      if (!MS)
-        return usage("--timeout expects milliseconds");
-      TimeoutMs = *MS;
-    } else if (A == "--threads") {
-      if (!Args.value(A, V))
-        return 2;
-      std::optional<int> N = parseIntArg(V);
-      if (!N)
-        return usage("--threads expects a number");
-      Threads = unsigned(*N);
-    } else if (A == "--sharing") {
-      if (!Args.value(A, V))
-        return 2;
-      if (!parseRefutationSharing(V, Sharing))
-        return usage("unknown sharing mode (use off, per-solve or process)");
-    } else if (A == "--simd") {
-      if (!Args.value(A, V))
-        return 2;
-      if (V == "off")
-        SimdOff = true;
-      else if (V == "auto")
-        SimdOff = false;
-      else
-        return usage("unknown simd mode (use off or auto)");
     } else if (A == "--limit") {
       if (!Args.value(A, V))
         return 2;
@@ -556,10 +513,20 @@ int runBench(ArgReader &Args) {
       if (!Args.value(A, V))
         return 2;
       StateDir = V;
+    } else if (A == "--spec" || A == "--no-deduction" || A == "--library") {
+      return usage(("unknown option " + A).c_str()); // --config and --suite
+    } else if (int E = engineArg(Args, A, Flags, LibraryName); E >= 0) {
+      if (E > 0)
+        return E;
     } else {
       return usage(("unknown option " + A).c_str());
     }
   }
+  const Strategy Strat = Flags.strategy();
+  const RefutationSharing Sharing = Flags.refutationSharing();
+  const int TimeoutMs = int(Flags.config().Timeout.count());
+  const unsigned Threads = Flags.threads();
+  const bool SimdOff = !Flags.config().UseBatchedCheck;
   if (!StateDir.empty() && !ensureDir(StateDir))
     return usage(("cannot create state dir " + StateDir).c_str());
 
@@ -708,14 +675,12 @@ int runBench(ArgReader &Args) {
 /// so a request/response client gets its answer while the reader blocks
 /// on the next stdin line (and a slow request delays later responses but
 /// never loses them — the service keeps solving behind it either way).
-/// Exactly one of Handle (single-node) and CJob (--cluster) is valid.
 struct PendingRequest {
   JsonValue Id; ///< echoed back; defaults to the 1-based line number
   std::string Name;
   std::string Error; ///< non-empty: the request never reached the service
   std::vector<std::string> InputNames;
   JobHandle Handle;
-  ClusterJob CJob;
   /// --record: the traffic record's submission half (trafficArrival),
   /// completed and written by the flusher once the job is done.
   std::optional<TrafficRecord> Rec;
@@ -726,34 +691,24 @@ void printResponse(const PendingRequest &Req) {
   if (!Req.Error.empty()) {
     R.Id = Req.Id;
     R.Error = Req.Error;
-  } else if (Req.CJob.valid()) {
-    const Solution &S = Req.CJob.get();
-    R = makeServeResponse(Req.Id, Req.Name, Req.InputNames, S,
-                          Req.CJob.source());
-    R.QueueMs = Req.CJob.queueMs();
-    R.SolveMs = Req.CJob.solveMs();
-    R.Worker = Req.CJob.worker();
   } else {
     const Solution &S = Req.Handle.get();
     R = makeServeResponse(Req.Id, Req.Name, Req.InputNames, S,
                           resultSourceName(Req.Handle.source()));
     R.QueueMs = Req.Handle.queueMs();
     R.SolveMs = Req.Handle.solveMs();
+    R.Worker = Req.Handle.worker();
   }
   std::printf("%s\n", serveResponseLine(R).c_str());
   std::fflush(stdout);
 }
 
-/// Completes \p Req's traffic record from its finished job, whichever
-/// front door ran it, and appends the line to \p Out.
+/// Completes \p Req's traffic record from its finished job and appends
+/// the line to \p Out.
 void writeTrafficRecord(PendingRequest &Req, std::ostream &Out) {
-  if (Req.CJob.valid())
-    finishTrafficRecord(*Req.Rec, Req.CJob.get(), Req.CJob.source(),
-                        Req.CJob.queueMs(), Req.CJob.solveMs());
-  else
-    finishTrafficRecord(*Req.Rec, Req.Handle.get(),
-                        resultSourceName(Req.Handle.source()),
-                        Req.Handle.queueMs(), Req.Handle.solveMs());
+  finishTrafficRecord(*Req.Rec, Req.Handle.get(),
+                      resultSourceName(Req.Handle.source()),
+                      Req.Handle.queueMs(), Req.Handle.solveMs());
   Out << trafficRecordToLine(*Req.Rec) << '\n';
 }
 
@@ -844,8 +799,7 @@ int runServe(ArgReader &Args) {
       return usage(Err.c_str());
   }
 
-  // --record: the flusher writes one traffic line per answered request,
-  // from the finished job of whichever front door served it.
+  // --record: the flusher writes one traffic line per answered request.
   std::ofstream RecordOut;
   if (!RecordPath.empty()) {
     RecordOut.open(RecordPath);
@@ -858,18 +812,16 @@ int runServe(ArgReader &Args) {
   const auto Epoch = std::chrono::steady_clock::now(); // arrival_ns origin
   uint64_t Recorded = 0; // flusher thread only until it is joined
 
-  // Exactly one of these serves the requests; the coordinator owns its
-  // own local fail-back service internally.
-  std::unique_ptr<SynthService> Svc;
+  // One front door; --cluster sends its misses to the shards (declared
+  // after the service: the cluster detaches before the service dies).
+  SynthService Svc(LibraryName == "sql" ? Engine::sql(Opts)
+                                        : Engine::standard(Opts),
+                   SvcOpts);
   std::unique_ptr<ClusterClient> Cluster;
   if (!ClusterWorkers.empty()) {
-    ComponentLibrary Lib = LibraryName == "sql"
-                               ? StandardComponents::get().sqlRelevant()
-                               : StandardComponents::get().tidyDplyr();
     ClusterOptions COpts;
     COpts.Workers = ClusterWorkers;
-    Cluster =
-        std::make_unique<ClusterClient>(std::move(Lib), Opts, SvcOpts, COpts);
+    Cluster = std::make_unique<ClusterClient>(Svc, COpts);
     if (!Cluster->waitForWorkers(unsigned(ClusterWorkers.size()),
                                  std::chrono::milliseconds(5000))) {
       ClusterStats CS = Cluster->stats();
@@ -878,10 +830,6 @@ int runServe(ArgReader &Args) {
                    "fail back to local solving\n",
                    CS.WorkersUp, ClusterWorkers.size());
     }
-  } else {
-    Engine E =
-        LibraryName == "sql" ? Engine::sql(Opts) : Engine::standard(Opts);
-    Svc = std::make_unique<SynthService>(E, SvcOpts);
   }
 
   // Reader/flusher pair: the main thread parses and submits, the flusher
@@ -945,10 +893,7 @@ int runServe(ArgReader &Args) {
     Req.InputNames = SR.Prob->inputNames();
     if (RecordOut.is_open())
       Req.Rec = trafficArrival(LineNo, Epoch, *SR.Prob, Opts, R);
-    if (Cluster)
-      Req.CJob = Cluster->submit(std::move(*SR.Prob), R);
-    else
-      Req.Handle = Svc->submit(std::move(*SR.Prob), R);
+    Req.Handle = Svc.submit(std::move(*SR.Prob), R);
     Respond(std::move(Req));
   }
   {
@@ -958,30 +903,27 @@ int runServe(ArgReader &Args) {
   PendingReady.notify_all();
   Flusher.join();
 
+  ServiceStats Stats = Svc.stats();
+  std::fprintf(stderr,
+               "serve: %llu request(s), %llu solve(s), %llu cache hit(s), "
+               "%llu coalesced, %llu deadline-expired\n",
+               (unsigned long long)Stats.Submitted,
+               (unsigned long long)Stats.SolvesRun,
+               (unsigned long long)Stats.Cache.Hits,
+               (unsigned long long)Stats.Cache.Coalesced,
+               (unsigned long long)(Stats.QueueDeadlineExpired +
+                                    Stats.RiderDeadlineExpired +
+                                    Stats.SolveDeadlineExpired));
   if (Cluster) {
     ClusterStats CS = Cluster->stats();
     std::fprintf(stderr,
-                 "serve: %llu request(s), %llu forwarded, %llu remote, "
-                 "%llu local, %llu failover(s), %llu remote error(s), "
-                 "%llu deadline-expired\n",
-                 (unsigned long long)CS.Submitted,
+                 "serve: cluster %llu forwarded, %llu remote, %llu local, "
+                 "%llu failover(s), %llu remote error(s)\n",
                  (unsigned long long)CS.Forwarded,
                  (unsigned long long)CS.RemoteCompleted,
                  (unsigned long long)CS.LocalSolves,
                  (unsigned long long)CS.Failovers,
-                 (unsigned long long)CS.RemoteErrors,
-                 (unsigned long long)CS.DeadlineExpired);
-  } else {
-    ServiceStats Stats = Svc->stats();
-    std::fprintf(stderr,
-                 "serve: %llu request(s), %llu solve(s), %llu cache hit(s), "
-                 "%llu coalesced, %llu deadline-expired\n",
-                 (unsigned long long)Stats.Submitted,
-                 (unsigned long long)Stats.SolvesRun,
-                 (unsigned long long)Stats.Cache.Hits,
-                 (unsigned long long)Stats.Cache.Coalesced,
-                 (unsigned long long)(Stats.QueueDeadlineExpired +
-                                      Stats.RiderDeadlineExpired));
+                 (unsigned long long)CS.RemoteErrors);
   }
   if (RecordOut.is_open()) {
     RecordOut.flush();
